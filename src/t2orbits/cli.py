@@ -23,7 +23,7 @@ from . import documents
 from .constructors import EnumerationBounds, enumerate_legal, suspension_of_lens, \
     weighted_projective
 from .core import WeightSystem, classify_fixed_point, validate
-from .equivalence import EquivalenceMode, is_isomorphic, weak_witness
+from .equivalence import is_isomorphic, weak_witness
 from .errors import DocumentError, WeightSystemError
 from .localmodels import space_of_directions
 from .surgery import decompose
@@ -84,13 +84,17 @@ def _cmd_compare(args) -> int:
     second = _load_or_exit(args.second)
     _require_legal_or_exit(first, args.first)
     _require_legal_or_exit(second, args.second)
-    mode = EquivalenceMode(args.mode)
-    if not is_isomorphic(first, second, mode):
+    witness = None
+    if args.mode == "weak":
+        witness = weak_witness(first, second)
+        isomorphic = witness is not None
+    else:
+        isomorphic = is_isomorphic(first, second)
+    if not isomorphic:
         print("not isomorphic")
         return EXIT_NEGATIVE
     print("isomorphic")
-    if mode is EquivalenceMode.WEAK:
-        witness = weak_witness(first, second)
+    if witness is not None:
         (a, b), (c, d) = witness.matrix
         reversed_ = "yes" if witness.orientation_reversed else "no"
         print(f"witness: basis change [[{a},{b}],[{c},{d}]], "

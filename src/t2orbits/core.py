@@ -297,14 +297,7 @@ class ValidationReport:
 
 
 def _cycle_violations(cycle: FixedCycle) -> tuple:
-    """Violations of one cycle, with locations relative to the cycle.
-
-    Cached on the (immutable) cycle instance: boundary cycles are shared
-    freely between weight systems, so repeated validation is a lookup.
-    """
-    cached = cycle.__dict__.get("_violations")
-    if cached is not None:
-        return cached
+    """Violations of one cycle, with locations relative to the cycle."""
     bad = []
     pairs = cycle.pairs
     dets = cycle.dets
@@ -330,82 +323,79 @@ def _cycle_violations(cycle: FixedCycle) -> tuple:
             RULE_R2_ANTISYMMETRY, "",
             f"a cycle with r = 2 fixed points must have f1 = -f2, "
             f"got f1 = {dets[0]}, f2 = {dets[1]}"))
-    cached = tuple(bad)
-    cycle.__dict__["_violations"] = cached
-    return cached
+    return tuple(bad)
+
+
+def _violations(system: WeightSystem) -> tuple:
+    """Every legality rule ``system`` breaks, as a tuple of Violations.
+
+    The rules, in report order: orientation is +-1; genus >= 0; the
+    obstruction pair is (0, 0) unless the orbit space is closed; circle pairs
+    are coprime; per fixed cycle: length >= 2, coprime pairs, each stored
+    determinant equal to the one recomputed from the stored pairs and
+    nonzero, f1 = -f2 when r = 2; Seifert triples in normal form.  The one
+    implementation behind validate() and require_legal(), which guards every
+    operation, so a legal system allocates nothing.
+    """
+    bad = ()
+    if system.orientation not in (1, -1):
+        bad += (Violation(RULE_ORIENTATION, "orientation",
+                          f"orientation must be +1 or -1, got {system.orientation}"),)
+    if system.genus < 0:
+        bad += (Violation(RULE_GENUS, "genus",
+                          f"genus must be >= 0, got {system.genus}"),)
+    if system.obstruction != (0, 0) and (system.circle_boundaries or system.fixed_cycles):
+        bad += (Violation(
+            RULE_OBSTRUCTION_CLOSED, "obstruction",
+            f"obstruction {system.obstruction} requires a closed orbit space "
+            f"(found {system.boundary_count} boundary components)"),)
+
+    i = 0
+    for pair in system.circle_boundaries:
+        if math.gcd(pair.m, pair.n) != 1:
+            bad += (Violation(RULE_PAIR_COPRIME, f"circle[{i}]",
+                              f"{pair} is not a coprime pair"),)
+        i += 1
+
+    l = 0
+    for cycle in system.fixed_cycles:
+        # Stashed on the immutable cycle, which systems share freely.
+        found = cycle.__dict__.get("_violations")
+        if found is None:
+            found = cycle.__dict__["_violations"] = _cycle_violations(cycle)
+        if found:
+            for v in found:
+                bad += (Violation(v.rule, f"cycle[{l}]{v.location}", v.message),)
+        l += 1
+
+    j = 0
+    for exc in system.exceptional:
+        if exc.alpha < 2:
+            bad += (Violation(RULE_SEIFERT, f"exceptional[{j}]",
+                              f"alpha must be >= 2, got {exc.alpha}"),)
+        elif not (0 <= exc.gamma1 < exc.alpha and 0 <= exc.gamma2 < exc.alpha):
+            bad += (Violation(RULE_SEIFERT, f"exceptional[{j}]",
+                              f"gammas must lie in [0, alpha), got "
+                              f"({exc.alpha};{exc.gamma1},{exc.gamma2})"),)
+        elif math.gcd(exc.alpha, exc.gamma1, exc.gamma2) != 1:
+            bad += (Violation(RULE_SEIFERT, f"exceptional[{j}]",
+                              f"gcd(alpha, gamma1, gamma2) must be 1, got "
+                              f"({exc.alpha};{exc.gamma1},{exc.gamma2})"),)
+        j += 1
+
+    return bad
 
 
 def validate(system: WeightSystem) -> ValidationReport:
-    """Check every legality rule; violations are reported, never raised.
-
-    Rules: orientation is +-1; genus >= 0; all pairs coprime; every stored
-    cycle determinant is nonzero and matches the one recomputed from the
-    stored representatives; cycles have length >= 2; a length-2 cycle has
-    f1 = -f2; the obstruction pair is (0, 0) unless the orbit space is
-    closed; Seifert triples satisfy their normal form.
-    """
-    bad = []
-
-    if system.orientation not in (1, -1):
-        bad.append(Violation(RULE_ORIENTATION, "orientation",
-                             f"orientation must be +1 or -1, got {system.orientation}"))
-    if system.genus < 0:
-        bad.append(Violation(RULE_GENUS, "genus", f"genus must be >= 0, got {system.genus}"))
-    if system.obstruction != (0, 0) and (system.circle_boundaries or system.fixed_cycles):
-        bad.append(Violation(
-            RULE_OBSTRUCTION_CLOSED, "obstruction",
-            f"obstruction {system.obstruction} requires a closed orbit space "
-            f"(found {system.boundary_count} boundary components)"))
-
-    for i, pair in enumerate(system.circle_boundaries):
-        if math.gcd(pair.m, pair.n) != 1:
-            bad.append(Violation(RULE_PAIR_COPRIME, f"circle[{i}]",
-                                 f"{pair} is not a coprime pair"))
-
-    for l, cycle in enumerate(system.fixed_cycles):
-        for v in _cycle_violations(cycle):
-            bad.append(Violation(v.rule, f"cycle[{l}]{v.location}", v.message))
-
-    for j, exc in enumerate(system.exceptional):
-        where = f"exceptional[{j}]"
-        if exc.alpha < 2:
-            bad.append(Violation(RULE_SEIFERT, where,
-                                 f"alpha must be >= 2, got {exc.alpha}"))
-        elif not (0 <= exc.gamma1 < exc.alpha and 0 <= exc.gamma2 < exc.alpha):
-            bad.append(Violation(RULE_SEIFERT, where,
-                                 f"gammas must lie in [0, alpha), got "
-                                 f"({exc.alpha};{exc.gamma1},{exc.gamma2})"))
-        elif math.gcd(exc.alpha, exc.gamma1, exc.gamma2) != 1:
-            bad.append(Violation(RULE_SEIFERT, where,
-                                 f"gcd(alpha, gamma1, gamma2) must be 1, got "
-                                 f"({exc.alpha};{exc.gamma1},{exc.gamma2})"))
-
-    return ValidationReport(tuple(bad))
-
-
-def _is_legal(system: WeightSystem) -> bool:
-    # Boolean fast path of validate(); must stay in step with it.
-    if system.orientation not in (1, -1) or system.genus < 0:
-        return False
-    if system.obstruction != (0, 0) and (system.circle_boundaries
-                                         or system.fixed_cycles):
-        return False
-    for pair in system.circle_boundaries:
-        if math.gcd(pair.m, pair.n) != 1:
-            return False
-    for cycle in system.fixed_cycles:
-        if _cycle_violations(cycle):
-            return False
-    for exc in system.exceptional:
-        if exc.alpha < 2 or not (0 <= exc.gamma1 < exc.alpha
-                                 and 0 <= exc.gamma2 < exc.alpha):
-            return False
-        if math.gcd(exc.alpha, exc.gamma1, exc.gamma2) != 1:
-            return False
-    return True
+    """Report the broken legality rules (see :func:`_violations`); never raise."""
+    return ValidationReport(_violations(system))
 
 
 def require_legal(system: WeightSystem) -> None:
-    """Raise :class:`IllegalWeightSystem` unless ``system`` validates."""
-    if not _is_legal(system):
-        raise IllegalWeightSystem(validate(system))
+    """Raise :class:`IllegalWeightSystem` unless ``system`` validates.
+
+    The exception's ``report`` equals ``validate(system)``.
+    """
+    bad = _violations(system)
+    if bad:
+        raise IllegalWeightSystem(ValidationReport(bad))

@@ -12,16 +12,22 @@ Documents are JSON with a fixed key order and explicit schema version:
       "exceptional": [{"alpha": a, "gamma1": g1, "gamma2": g2}, ...]
     }
 
-All integers are decimal with no width limit.  Parsing keeps sign
-representatives and component order verbatim, so parse(serialize(W)) equals
-W field by field and serialize(parse(text)) reproduces the canonical layout
-byte for byte.  Structural problems raise :class:`DocumentError`; legality
-is a separate question answered by :func:`t2orbits.core.validate`.
+All integers are decimal, at most ``sys.get_int_max_str_digits()`` digits
+wide (4,300 by default): Python's int/str conversion limit, which this
+module leaves as it is.  A wider integer is a :class:`DocumentError` in
+:func:`parse` and a ``ValueError`` in :func:`serialize` and
+:func:`serialize_compact`.  Parsing keeps sign representatives and component
+order verbatim, so parse(serialize(W)) equals W field by field and
+serialize(parse(text)) reproduces the canonical layout byte for byte.
+Structural problems, nesting too deep for the JSON decoder included, raise
+:class:`DocumentError`; legality is a separate question answered by
+:func:`t2orbits.core.validate`.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 from .core import ExceptionalOrbit, FixedCycle, IsotropyPair, WeightSystem
 from .errors import DocumentError
@@ -190,4 +196,10 @@ def parse(text: str) -> WeightSystem:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise DocumentError(f"not valid JSON: {err}") from None
+    except ValueError:
+        # The only other ValueError of the decoder: the int/str conversion limit.
+        raise DocumentError(f"an integer is wider than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise DocumentError("JSON nested too deeply") from None
     return from_document(doc)

@@ -174,20 +174,6 @@ def _strict_components(system: WeightSystem) -> tuple:
             circles, cycles, exceptional)
 
 
-def _strict_form(system: WeightSystem, mode: EquivalenceMode) -> CanonicalForm:
-    obstruction, orientation, genus, circles, cycles, exceptional = \
-        _strict_components(system)
-    return CanonicalForm(
-        mode=mode,
-        obstruction=obstruction,
-        orientation=orientation,
-        genus=genus,
-        circle_boundaries=circles,
-        cycle_keys=cycles,
-        exceptional=exceptional,
-    )
-
-
 def apply_basis_change(system: WeightSystem, matrix: Matrix) -> WeightSystem:
     """Reparametrize the torus: every pair becomes A*(m, n).
 
@@ -331,9 +317,9 @@ def _weak_rank(components: tuple) -> tuple:
 
 
 def _weak_argmin(system: WeightSystem) -> tuple:
-    """Minimal strict form over orientation reversal and basis candidates.
+    """Minimal strict components over orientation reversal and basis candidates.
 
-    Returns (form, matrix, reversed) where ``matrix`` and ``reversed``
+    Returns (components, matrix, reversed) where ``matrix`` and ``reversed``
     witness the minimizing transformation.
     """
     best = None
@@ -345,10 +331,7 @@ def _weak_argmin(system: WeightSystem) -> tuple:
             if best is None or entry[0] < best[0]:
                 best = entry
     _, matrix, flipped, components = best
-    obstruction, orientation, genus, circles, cycles, exceptional = components
-    form = CanonicalForm(EquivalenceMode.WEAK, obstruction, orientation, genus,
-                         circles, cycles, exceptional)
-    return form, matrix, flipped
+    return components, matrix, flipped
 
 
 def canonical_form(system: WeightSystem,
@@ -360,19 +343,24 @@ def canonical_form(system: WeightSystem,
     """
     require_legal(system)
     if mode is EquivalenceMode.STRICT:
-        return _strict_form(system, EquivalenceMode.STRICT)
-    form, _, _ = _weak_argmin(system)
-    return form
+        components = _strict_components(system)
+    else:
+        components, _, _ = _weak_argmin(system)
+    return CanonicalForm(mode, *components)
 
 
 def is_isomorphic(first: WeightSystem, second: WeightSystem,
                   mode: EquivalenceMode = EquivalenceMode.STRICT) -> bool:
-    """Decide orbit-space isomorphism by comparing canonical forms."""
+    """Decide orbit-space isomorphism by comparing canonical forms.
+
+    WEAK mode is decided by :func:`weak_witness`.  Raises
+    :class:`IllegalWeightSystem` when either system is illegal.
+    """
     if mode is EquivalenceMode.STRICT:
         require_legal(first)
         require_legal(second)
         return _strict_components(first) == _strict_components(second)
-    return canonical_form(first, mode) == canonical_form(second, mode)
+    return weak_witness(first, second) is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -391,18 +379,21 @@ class Witness:
 def weak_witness(first: WeightSystem, second: WeightSystem) -> Witness | None:
     """A witnessing basis change / orientation flip, or None.
 
-    Returns a witness exactly when the two systems are WEAK-isomorphic.
+    Returns a witness exactly when the two systems are WEAK-isomorphic; this
+    is the one WEAK decision.  Raises :class:`IllegalWeightSystem` when
+    either system is illegal.
     """
-    form1, mat1, flip1 = _weak_argmin(first)
-    form2, mat2, flip2 = _weak_argmin(second)
-    if form1 != form2:
+    require_legal(first)
+    require_legal(second)
+    components1, mat1, flip1 = _weak_argmin(first)
+    components2, mat2, flip2 = _weak_argmin(second)
+    if components1 != components2:
         return None
     witness = Witness(_mat_mul(_mat_inv(mat2), mat1), flip1 ^ flip2)
     moved = first
     if witness.orientation_reversed:
         moved = reverse_orientation(moved)
     moved = apply_basis_change(moved, witness.matrix)
-    if _strict_form(moved, EquivalenceMode.STRICT) != _strict_form(
-            second, EquivalenceMode.STRICT):
+    if _strict_components(moved) != _strict_components(second):
         raise ArithmeticError("weak witness verification failed")
     return witness

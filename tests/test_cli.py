@@ -2,13 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-
+import t2orbits
 from t2orbits import (
     FixedCycle,
     IsotropyPair,
     LensClass,
     WeightSystem,
+    equivalence,
     is_isomorphic,
     lens_equivalent,
     parse,
@@ -65,6 +70,26 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "/nonexistent/x.json")
         assert code == 1
 
+    def test_unparsable_json_is_one_diagnostic_line(self, tmp_path):
+        # Past the JSON decoder's limits (the int/str conversion limit, the
+        # recursion limit) a document is a parse error, not a traceback.
+        wide = tmp_path / "wide.json"
+        wide.write_text('{"schema_version": "1", "obstruction": [' + "7" * 5000
+                        + ', 0], "orientation": 1, "genus": 0, "circle_boundaries": [], '
+                        '"fixed_cycles": [], "exceptional": []}\n', encoding="utf-8")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        src = str(Path(t2orbits.__file__).parent.parent)
+        for path in (wide, deep):
+            done = subprocess.run(
+                [sys.executable, "-m", "t2orbits.cli", "validate", str(path)],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+            assert done.returncode == 1
+            assert done.stdout == ""
+            lines = done.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"parse error in {path}: ")
+            assert "Traceback" not in done.stderr
+
 
 class TestCompare:
     def test_permuted_copy_is_isomorphic(self, tmp_path, capsys):
@@ -95,6 +120,22 @@ class TestCompare:
         assert code == 0
         assert "isomorphic" in out
         assert "witness" in out and "orientation reversed: yes" in out
+
+    def test_weak_runs_the_argmin_once_per_operand(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        argmin = equivalence._weak_argmin
+
+        def counted(system):
+            calls.append(system)
+            return argmin(system)
+
+        monkeypatch.setattr(equivalence, "_weak_argmin", counted)
+        w = weighted_projective(1, 2, 3)
+        pa = write(tmp_path, "a.json", w)
+        pb = write(tmp_path, "b.json", reverse_orientation(w))
+        code, out, _ = run(capsys, "compare", pa, pb, "--mode", "weak")
+        assert code == 0 and "witness" in out
+        assert len(calls) == 2
 
     def test_illegal_operand(self, tmp_path, capsys):
         pa = write(tmp_path, "a.json", suspension_of_lens((1, 0), (2, 5)))

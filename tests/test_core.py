@@ -7,6 +7,7 @@ from t2orbits import (
     ExceptionalOrbit,
     FixedCycle,
     IllegalDeterminant,
+    IllegalWeightSystem,
     IsotropyPair,
     NotCoprime,
     OrbitType,
@@ -14,6 +15,7 @@ from t2orbits import (
     classify_fixed_point,
     det_pair,
     make_pair,
+    require_legal,
     suspension_of_lens,
     validate,
 )
@@ -107,7 +109,13 @@ class TestFixedCycle:
             FixedCycle((IsotropyPair(1, 0),), (1, 2))
 
 
-def _rules(report):
+def _rules(system):
+    """Rules an illegal system violates; require_legal must agree with validate."""
+    report = validate(system)
+    assert not report.is_legal
+    with pytest.raises(IllegalWeightSystem) as raised:
+        require_legal(system)
+    assert raised.value.report == report
     return {v.rule for v in report.violations}
 
 
@@ -120,15 +128,12 @@ class TestValidate:
         # A disk whose two fixed points carry stored weights (delta, 1) with
         # delta != -1 is excluded by the length-2 antisymmetry rule.
         cycle = FixedCycle((IsotropyPair(1, 0), IsotropyPair(2, 5)), (5, 1))
-        report = validate(WeightSystem(fixed_cycles=(cycle,)))
-        assert not report.is_legal
-        assert RULE_R2_ANTISYMMETRY in _rules(report)
+        assert RULE_R2_ANTISYMMETRY in _rules(WeightSystem(fixed_cycles=(cycle,)))
 
     def test_closed_obstruction_with_boundary_is_illegal(self):
         w = WeightSystem(obstruction=(1, 0),
                          fixed_cycles=(FixedCycle.from_pairs([(1, 0), (0, 1)]),))
-        report = validate(w)
-        assert RULE_OBSTRUCTION_CLOSED in _rules(report)
+        assert RULE_OBSTRUCTION_CLOSED in _rules(w)
 
     def test_closed_obstruction_alone_is_legal(self):
         assert validate(WeightSystem(obstruction=(3, -7))).is_legal
@@ -139,24 +144,23 @@ class TestValidate:
 
     def test_non_coprime_pairs_reported(self):
         w = WeightSystem(circle_boundaries=(IsotropyPair(2, 4),))
-        assert RULE_PAIR_COPRIME in _rules(validate(w))
+        assert RULE_PAIR_COPRIME in _rules(w)
         cycle = FixedCycle((IsotropyPair(2, 4), IsotropyPair(0, 1)), (2, -2))
-        assert RULE_PAIR_COPRIME in _rules(validate(WeightSystem(fixed_cycles=(cycle,))))
+        assert RULE_PAIR_COPRIME in _rules(WeightSystem(fixed_cycles=(cycle,)))
 
     def test_det_mismatch_and_zero_reported(self):
         cycle = FixedCycle((IsotropyPair(1, 0), IsotropyPair(0, 1)), (2, -2))
-        assert RULE_DET_MISMATCH in _rules(validate(WeightSystem(fixed_cycles=(cycle,))))
+        assert RULE_DET_MISMATCH in _rules(WeightSystem(fixed_cycles=(cycle,)))
         cycle = FixedCycle((IsotropyPair(1, 0), IsotropyPair(1, 0)), (0, 0))
-        assert RULE_DET_ZERO in _rules(validate(WeightSystem(fixed_cycles=(cycle,))))
+        assert RULE_DET_ZERO in _rules(WeightSystem(fixed_cycles=(cycle,)))
 
     def test_negative_genus_reported(self):
-        assert RULE_GENUS in _rules(validate(WeightSystem(genus=-1)))
+        assert RULE_GENUS in _rules(WeightSystem(genus=-1))
 
     def test_seifert_constraints(self):
         for bad in (ExceptionalOrbit(1, 0, 0), ExceptionalOrbit(3, 3, 1),
                     ExceptionalOrbit(4, 2, 0), ExceptionalOrbit(2, -1, 0)):
-            report = validate(WeightSystem(exceptional=(bad,)))
-            assert RULE_SEIFERT in _rules(report), bad
+            assert RULE_SEIFERT in _rules(WeightSystem(exceptional=(bad,))), bad
         assert validate(WeightSystem(exceptional=(ExceptionalOrbit(4, 1, 2),))).is_legal
 
     def test_validate_is_pure_and_idempotent(self):

@@ -1,6 +1,7 @@
 """Interchange format: lossless round trips and strict schema checking."""
 
 import json
+import sys
 
 import pytest
 
@@ -74,6 +75,12 @@ class TestSchemaChecking:
     def test_non_object(self):
         with pytest.raises(DocumentError):
             parse("[1, 2]")
+
+    def test_beyond_the_decoder_limits(self):
+        with pytest.raises(DocumentError, match="wider than"):
+            parse("[" + "1" * (sys.get_int_max_str_digits() + 1) + "]")
+        with pytest.raises(DocumentError, match="nested too deeply"):
+            parse("[" * 100_000)
 
     def test_missing_key(self):
         doc = self.good()

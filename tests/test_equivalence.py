@@ -269,6 +269,15 @@ class TestWeakMode:
             witness = weak_witness(w, moved)
             assert witness is not None  # weak_witness verifies internally
 
+    def test_illegal_operand_raises(self):
+        bad = WeightSystem(genus=-1)
+        good = suspension_of_lens((1, 0), (2, 5))
+        for first, second in ((bad, bad), (bad, good), (good, bad)):
+            with pytest.raises(IllegalWeightSystem):
+                weak_witness(first, second)
+            with pytest.raises(IllegalWeightSystem):
+                is_isomorphic(first, second, WEAK)
+
     def test_weak_canonical_idempotent(self, rng):
         for _ in range(30):
             w = random_legal_system(rng, bound=4)
