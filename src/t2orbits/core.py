@@ -183,7 +183,8 @@ class FixedCycle:
         return tuple(self.pairs[w].det(self.pairs[(w + 1) % r]) for w in range(r))
 
     def flat(self) -> tuple:
-        """Hashable flat encoding (m, n, f per entry), used for caching.
+        """Hashable flat encoding (m, n, f per entry), the input of cycle
+        canonicalization.
 
         Computed once per instance; safe because the value is immutable.
         """
@@ -296,6 +297,21 @@ class ValidationReport:
         return [v.describe() for v in self.violations]
 
 
+def _int_text(value: int) -> str:
+    """``str(value)``, or ``<k-digit integer>`` (signed) where str() would
+    raise: beyond Python's int/str conversion limit, which a determinant of
+    two parsable pairs can pass."""
+    try:
+        return str(value)
+    except ValueError:
+        size = abs(value)
+        # bit_length * log10(2) is within one of the digit count; start below
+        k = max(1, int(size.bit_length() * 0.30102999566398120) - 1)
+        while 10 ** k <= size:
+            k += 1
+        return f"{'-' if value < 0 else ''}<{k}-digit integer>"
+
+
 def _cycle_violations(cycle: FixedCycle) -> tuple:
     """Violations of one cycle, with locations relative to the cycle."""
     bad = []
@@ -314,7 +330,8 @@ def _cycle_violations(cycle: FixedCycle) -> tuple:
         derived = pairs[w].det(pairs[(w + 1) % r])
         if stored != derived:
             bad.append(Violation(RULE_DET_MISMATCH, f".f[{w}]",
-                                 f"stored determinant {stored}, adjacent pairs give {derived}"))
+                                 f"stored determinant {_int_text(stored)}, "
+                                 f"adjacent pairs give {_int_text(derived)}"))
         if stored == 0:
             bad.append(Violation(RULE_DET_ZERO, f".f[{w}]",
                                  "adjacent determinant is 0 (not legally weighted)"))
@@ -322,7 +339,7 @@ def _cycle_violations(cycle: FixedCycle) -> tuple:
         bad.append(Violation(
             RULE_R2_ANTISYMMETRY, "",
             f"a cycle with r = 2 fixed points must have f1 = -f2, "
-            f"got f1 = {dets[0]}, f2 = {dets[1]}"))
+            f"got f1 = {_int_text(dets[0])}, f2 = {_int_text(dets[1])}"))
     return tuple(bad)
 
 

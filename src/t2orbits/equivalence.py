@@ -15,11 +15,11 @@ quotients by reparametrizations of the torus (a common unimodular basis
 change applied to every isotropy pair) and by reversing the orientation,
 which is the natural reading when the torus comes with no preferred basis.
 
-Canonicalization of one cycle is an exhaustive search over the r rotations
-and 2^r sign patterns, so the cost grows as r^2 * 2^r per cycle; fine at
-desk scale (r <= 12 or so).  The product of the signs of the determinants
-around a cycle is invariant under all flips and makes a cheap prefilter
-when comparing very long cycles by hand.
+Canonicalization of one cycle is exact and costs O(r^2) in its length r:
+it follows, rotation by rotation, only the sign choices whose key prefix is
+least, which on a legal cycle forces every sign (see ``_canonical_flat``).
+The product of the signs of the determinants around a cycle is invariant
+under all flips and makes a cheap prefilter when comparing cycles by hand.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 
 from .core import (
     ExceptionalOrbit,
@@ -52,32 +51,73 @@ class EquivalenceMode(Enum):
         return self.value
 
 
-@lru_cache(maxsize=1 << 18)
 def _canonical_flat(flat: tuple) -> tuple:
     """Lexicographically minimal presentation of a cycle, as entry keys.
 
     ``flat`` is (m, n, f) per entry; the result is a tuple of entry keys
     (|f|, f, m, n), minimized over all rotations of the starting index and
     all per-entry sign flips.  A flip of entry w negates the stored pair and
-    the determinants at w-1 and w.
+    the determinants at w-1 and w.  Any stored values are accepted: f may be
+    0, a pair may be (0, 0), and f need not be the determinant of its pairs.
+
+    The search is exact and costs O(r^2).  Fix a rotation and signs s_0 ..
+    s_{r-1}; entry k of the key is (|f_k|, s_k s_{k+1} f_k, s_k m_k, s_k n_k)
+    with s_r = s_0, so it depends on (s_k, s_{k+1}) only.  Read the entries
+    left to right and call (s_0, s_k) the state after k entries.  Two sign
+    choices with the same state have the same set of possible futures, and
+    a choice whose prefix is larger than another's cannot lead to the
+    minimum.  So after each entry only the least prefix is kept, with every
+    state (at most four) that reaches it; ties are kept, never broken.  The
+    last entry takes s_r = s_0 from the state, and the prefix left after it
+    is the least key of the rotation.  |f| does not depend on the signs and
+    leads each entry, so only rotations starting at the least |f| are
+    tried, and a rotation is abandoned once its prefix exceeds the best key
+    found so far.  On a legal cycle (every f nonzero, every pair nonzero)
+    one state survives the first entry and each later sign is forced, the
+    one that makes the determinant negative; when f = 0 or a pair is
+    (0, 0), several states survive and are followed together, on the same
+    path.
     """
     r = len(flat) // 3
     ms = flat[0::3]
     ns = flat[1::3]
     fs = flat[2::3]
-    absf = tuple(abs(f) for f in fs)
+    absf = [abs(f) for f in fs]
+    least = min(absf, default=None)
     best = None
-    for mask in range(1 << r):
-        signs = [-1 if mask >> w & 1 else 1 for w in range(r)]
-        quads = [
-            (absf[w], signs[w] * signs[(w + 1) % r] * fs[w],
-             signs[w] * ms[w], signs[w] * ns[w])
-            for w in range(r)
-        ]
-        for rot in range(r):
-            key = tuple(quads[rot:] + quads[:rot])
-            if best is None or key < best:
-                best = key
+    for rot in range(r):
+        if absf[rot] != least:
+            continue
+        states = ((1, 1), (-1, -1))  # (s_0, s_k) before entry k
+        key = []
+        tied = best is not None  # the prefix so far equals best's
+        for j in range(r):
+            k = rot + j
+            if k >= r:
+                k -= r
+            a = absf[k]
+            f = fs[k]
+            m = ms[k]
+            n = ns[k]
+            low = None
+            for s0, s in states:
+                for t in (1, -1) if j < r - 1 else (s0,):
+                    entry = (a, s * t * f, s * m, s * n)
+                    if low is None or entry < low:
+                        low = entry
+                        survivors = [(s0, t)]
+                    elif entry == low and (s0, t) not in survivors:
+                        survivors.append((s0, t))
+            if tied:
+                other = best[j]
+                if low > other:
+                    break
+                tied = low == other
+            key.append(low)
+            states = survivors
+        else:
+            if not tied:
+                best = tuple(key)
     return best
 
 

@@ -23,6 +23,7 @@ from t2orbits import (
     validate,
     weighted_projective,
 )
+from t2orbits import cli
 from t2orbits.cli import main
 
 
@@ -89,6 +90,24 @@ class TestValidate:
             lines = done.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith(f"parse error in {path}: ")
             assert "Traceback" not in done.stderr
+
+    def test_wide_determinant_is_one_diagnostic_per_entry(self, tmp_path, capsys):
+        # The pairs parse; their 6,000-digit determinant is abbreviated in
+        # the det-mismatch lines instead of raising.
+        n = int("7" * 3000)
+        cycle = FixedCycle((IsotropyPair(1, n), IsotropyPair(n, 1)), (1, -1))
+        path = write(tmp_path, "wide.json", WeightSystem(fixed_cycles=(cycle,)))
+        good = write(tmp_path, "good.json", suspension_of_lens((1, 0), (2, 5)))
+        expected = ["det-mismatch at cycle[0].f[0]: stored determinant 1, "
+                    "adjacent pairs give -<6000-digit integer>",
+                    "det-mismatch at cycle[0].f[1]: stored determinant -1, "
+                    "adjacent pairs give <6000-digit integer>"]
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out, err.splitlines()) == (2, "", expected)
+        for argv in (("compare", path, good), ("compare", good, path, "--mode", "weak")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.splitlines() == [f"{path}: {line}" for line in expected]
 
 
 class TestCompare:
@@ -285,3 +304,51 @@ class TestEdgeCases:
         code, out, _ = run(capsys, "compare", path, path, "--mode", "weak")
         assert code == 0
         assert "witness" in out
+
+
+class TestParserReuse:
+    CALLS = (
+        ("compare", "{a}"),
+        ("validate", "{a}"),
+        ("compare", "{a}", "{b}", "--mode", "weak"),
+        ("compare", "{a}", "{b}"),
+        ("generate", "suspension", "-1,0", "2,5"),
+        ("--help",),
+    )
+
+    @staticmethod
+    def outcome(capsys, argv, fresh):
+        try:
+            if fresh:
+                args = cli.build_parser().parse_args(argv)
+                try:
+                    code = args.handler(args)
+                except cli._Exit as stop:
+                    code = stop.code
+            else:
+                code = main(argv)
+        except SystemExit as stop:
+            code = ("SystemExit", stop.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_one_parser_answers_like_a_fresh_one(self, tmp_path, capsys, monkeypatch):
+        a = write(tmp_path, "a.json", weighted_projective(1, 2, 3))
+        b = write(tmp_path, "b.json", reverse_orientation(weighted_projective(1, 2, 3)))
+        calls = [[x.format(a=a, b=b) for x in argv] for argv in self.CALLS]
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        reused = [self.outcome(capsys, argv, fresh=False) for argv in calls]
+        assert len(built) == 1
+        monkeypatch.setattr(cli, "build_parser", build)
+        for argv, got in zip(calls, reused):
+            assert got == self.outcome(capsys, argv, fresh=True), argv
+        codes = [code for code, _, _ in reused]
+        assert codes == [("SystemExit", 2), 0, 0, 3, 0, ("SystemExit", 0)]

@@ -154,6 +154,27 @@ class TestValidate:
         cycle = FixedCycle((IsotropyPair(1, 0), IsotropyPair(1, 0)), (0, 0))
         assert RULE_DET_ZERO in _rules(WeightSystem(fixed_cycles=(cycle,)))
 
+    def test_det_mismatch_message(self):
+        cycle = FixedCycle((IsotropyPair(1, 0), IsotropyPair(0, 1)), (2, -2))
+        lines = validate(WeightSystem(fixed_cycles=(cycle,))).lines()
+        assert lines[0] == ("det-mismatch at cycle[0].f[0]: "
+                            "stored determinant 2, adjacent pairs give 1")
+
+    def test_wide_determinant_is_abbreviated(self):
+        # Both pairs fit Python's int/str conversion limit; their
+        # determinant 1 - N^2 has 6,000 digits and does not.
+        n = int("7" * 3000)
+        assert 10 ** 5999 <= n * n - 1 < 10 ** 6000
+        cycle = FixedCycle((IsotropyPair(1, n), IsotropyPair(n, 1)), (1, -1))
+        system = WeightSystem(fixed_cycles=(cycle,))
+        assert _rules(system) == {RULE_DET_MISMATCH}
+        assert validate(system).lines() == [
+            "det-mismatch at cycle[0].f[0]: stored determinant 1, "
+            "adjacent pairs give -<6000-digit integer>",
+            "det-mismatch at cycle[0].f[1]: stored determinant -1, "
+            "adjacent pairs give <6000-digit integer>",
+        ]
+
     def test_negative_genus_reported(self):
         assert RULE_GENUS in _rules(WeightSystem(genus=-1))
 

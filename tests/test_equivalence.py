@@ -26,6 +26,7 @@ from t2orbits import (
     weak_witness,
     weighted_projective,
 )
+from t2orbits.equivalence import _canonical_flat
 from tests.conftest import random_legal_cycle, random_legal_system
 
 STRICT = EquivalenceMode.STRICT
@@ -51,6 +52,66 @@ def oracle_canonical_cycle(cycle: FixedCycle) -> tuple:
             if best is None or key < best:
                 best = key
     return best
+
+
+def exhaustive_canonical_flat(flat: tuple) -> tuple:
+    """Stored-f brute force over the flat encoding (m, n, f per entry).
+
+    Tries every sign pattern and every rotation and keeps the least key
+    sequence; flipping entry w negates its pair and the stored determinants
+    at w-1 and w, which need not match the pairs.
+    """
+    r = len(flat) // 3
+    ms = flat[0::3]
+    ns = flat[1::3]
+    fs = flat[2::3]
+    absf = tuple(abs(f) for f in fs)
+    best = None
+    for mask in range(1 << r):
+        signs = [-1 if mask >> w & 1 else 1 for w in range(r)]
+        quads = [
+            (absf[w], signs[w] * signs[(w + 1) % r] * fs[w],
+             signs[w] * ms[w], signs[w] * ns[w])
+            for w in range(r)
+        ]
+        for rot in range(r):
+            key = tuple(quads[rot:] + quads[:rot])
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def random_flat(rng: random.Random, r: int) -> tuple:
+    """A flat cycle with entries in [-5, 5], legal or not.
+
+    Small bounds make f = 0 and (0, 0) pairs common; half the cycles store
+    random determinants instead of the ones their pairs give.
+    """
+    bound = rng.choice((1, 2, 5))
+    pairs = [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(r)]
+    if rng.random() < 0.5:
+        dets = [rng.randint(-bound, bound) for _ in range(r)]
+    else:
+        dets = [IsotropyPair(*pairs[w]).det(IsotropyPair(*pairs[(w + 1) % r]))
+                for w in range(r)]
+    return tuple(x for (m, n), f in zip(pairs, dets) for x in (m, n, f))
+
+
+def rotate_flat(flat: tuple, k: int) -> tuple:
+    return flat[3 * k:] + flat[:3 * k]
+
+
+def flip_flat(flat: tuple, w: int) -> tuple:
+    """Flip the sign representative of entry w: negate its pair and the
+    stored determinants at w-1 and w."""
+    out = list(flat)
+    r = len(flat) // 3
+    out[3 * w] = -out[3 * w]
+    out[3 * w + 1] = -out[3 * w + 1]
+    out[3 * w + 2] = -out[3 * w + 2]
+    v = (w - 1) % r
+    out[3 * v + 2] = -out[3 * v + 2]
+    return tuple(out)
 
 
 def cycle_key(cycle: FixedCycle) -> tuple:
@@ -92,6 +153,38 @@ class TestCanonicalCycle:
             pairs[w] = pairs[w].flipped()
             flipped = FixedCycle.from_pairs(pairs)
             assert canonical_cycle(flipped) == canonical_cycle(c)
+
+
+class TestCanonicalFlat:
+    def test_matches_exhaustive_on_any_stored_values(self):
+        # f = 0, (0, 0) pairs and stored determinants that disagree with the
+        # pairs make several sign choices tie; all of them must be followed.
+        rng = random.Random(0x5EED)
+        for r in range(1, 9):
+            for _ in range(150):
+                flat = random_flat(rng, r)
+                assert _canonical_flat(flat) == exhaustive_canonical_flat(flat), flat
+
+    def test_ties_between_states(self):
+        # Zero pairs and determinants tie every sign choice; the key is
+        # decided only by the entries after them.
+        for flat in ((0, 0, 0, 1, 2, 0, 0, 0, 0, 2, 1, 0),
+                     (1, 0, 0, 0, 1, 0, 1, 1, 0),
+                     (0, 0, 3, 2, 1, 0, 0, 0, -3, 1, 2, 0),
+                     (0, 0, 0),
+                     ()):
+            assert _canonical_flat(flat) == exhaustive_canonical_flat(flat)
+
+    def test_rotation_and_flip_invariance_of_long_flat_cycles(self):
+        rng = random.Random(0xF1A7)
+        for r in (64, 256):
+            for _ in range(3):
+                flat = random_flat(rng, r)
+                key = _canonical_flat(flat)
+                moved = rotate_flat(flat, rng.randrange(r))
+                for w in rng.sample(range(r), r // 3):
+                    moved = flip_flat(moved, w)
+                assert _canonical_flat(moved) == key
 
 
 class TestStrictCanonicalForm:
@@ -326,11 +419,27 @@ class TestWeakMode:
 
 class TestLargerCycles:
     def test_canonical_cycle_matches_oracle_on_longer_cycles(self, rng):
-        # the search space grows as r * 2^r; spot-check well beyond the census
+        # the oracle's search grows as r * 2^r, the canonicalizer's as r^2;
+        # spot-check well beyond the census
         for length in (5, 6, 8):
             for _ in range(8):
                 c = random_legal_cycle(rng, length=length, bound=4)
                 assert cycle_key(canonical_cycle(c)) == oracle_canonical_cycle(c)
+        for length in (9, 10, 11):
+            for _ in range(3):
+                c = random_legal_cycle(rng, length=length, bound=4)
+                assert cycle_key(canonical_cycle(c)) == oracle_canonical_cycle(c)
+
+    def test_rotation_and_flip_invariance_of_long_cycles(self, rng):
+        for length in (64, 256):
+            c = random_legal_cycle(rng, length=length, bound=20)
+            canon = canonical_cycle(c)
+            assert cycle_key(canonical_cycle(canon)) == cycle_key(canon)
+            k = rng.randrange(length)
+            pairs = list(c.pairs[k:] + c.pairs[:k])
+            for w in rng.sample(range(length), length // 3):
+                pairs[w] = pairs[w].flipped()
+            assert canonical_cycle(FixedCycle.from_pairs(pairs)) == canon
 
     def test_weak_witness_between_independent_constructions(self):
         # same action described in two torus parametrizations from scratch
