@@ -22,7 +22,7 @@ from pathlib import Path
 from . import documents
 from .constructors import EnumerationBounds, enumerate_legal, suspension_of_lens, \
     weighted_projective
-from .core import WeightSystem, classify_fixed_point, validate
+from .core import WeightSystem, _int_text, classify_fixed_point, validate
 from .equivalence import is_isomorphic, weak_witness
 from .errors import DocumentError, WeightSystemError
 from .localmodels import space_of_directions
@@ -95,7 +95,7 @@ def _cmd_compare(args) -> int:
         return EXIT_NEGATIVE
     print("isomorphic")
     if witness is not None:
-        (a, b), (c, d) = witness.matrix
+        (a, b), (c, d) = (map(_int_text, row) for row in witness.matrix)
         reversed_ = "yes" if witness.orientation_reversed else "no"
         print(f"witness: basis change [[{a},{b}],[{c},{d}]], "
               f"orientation reversed: {reversed_}")
@@ -169,10 +169,7 @@ def _cmd_generate(args) -> int:
             r1, r2, r3 = (int(x) for x in args.params)
             system = weighted_projective(r1, r2, r3,
                                          orientation=args.orientation)
-    except WeightSystemError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ILLEGAL
-    except ValueError as err:
+    except (WeightSystemError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ILLEGAL
     sys.stdout.write(documents.serialize(system))

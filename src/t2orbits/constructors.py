@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .core import (
@@ -138,11 +137,9 @@ def canonical_pairs(max_entry: int) -> list:
             p = IsotropyPair(m, n)
             if p.canonical() == p:
                 out.append(p)
-    out.sort(key=lambda p: (p.m, p.n))
     return out
 
 
-@lru_cache(maxsize=32)
 def _cycle_pool(max_length: int, max_entry: int) -> tuple:
     """All legal cycle classes within bounds, as canonical cycles, sorted.
 

@@ -306,27 +306,17 @@ def _basis_candidates(system: WeightSystem) -> list:
     complete on the enumerated test sets, where it is cross-validated
     against brute force.
     """
-    pairs = []
-    seen = set()
-    for p in system.all_pairs():
-        c = p.canonical()
-        if (c.m, c.n) not in seen:
-            seen.add((c.m, c.n))
-            pairs.append(c)
-    anchors = list(pairs)
-    if not anchors and system.obstruction != (0, 0):
+    vectors = {(c.m, c.n) for c in (p.canonical() for p in system.all_pairs())}
+    if not vectors and system.obstruction != (0, 0):
         b1, b2 = system.obstruction
         g = math.gcd(b1, b2)
-        anchors.append(IsotropyPair(b1 // g, b2 // g))
-        pairs = anchors
-
-    if not anchors:
+        vectors.add((b1 // g, b2 // g))
+    if not vectors:
         return [IDENTITY]
     candidates = set()
-    vectors = [(p.m, p.n) for p in pairs]
-    for anchor in anchors:
-        for am, an in ((anchor.m, anchor.n), (-anchor.m, -anchor.n)):
-            base = _completion_to_first_vector(am, an)
+    for am, an in vectors:
+        for anchor in ((am, an), (-am, -an)):
+            base = _completion_to_first_vector(*anchor)
             shear_ts = {0}
             for (vm, vn) in vectors:
                 x = base[0][0] * vm + base[0][1] * vn
@@ -362,9 +352,13 @@ def _weak_argmin(system: WeightSystem) -> tuple:
     Returns (components, matrix, reversed) where ``matrix`` and ``reversed``
     witness the minimizing transformation.
     """
+    # Reversal keeps every subgroup and at most negates the one anchor of a
+    # pair-free closed system, whose two signs are both tried: both
+    # orientations share one candidate set.
+    candidates = _basis_candidates(system)
     best = None
     for flipped, base in ((False, system), (True, reverse_orientation(system))):
-        for matrix in _basis_candidates(base):
+        for matrix in candidates:
             candidate = apply_basis_change(base, matrix)
             components = _strict_components(candidate)
             entry = (_weak_rank(components), matrix, flipped, components)

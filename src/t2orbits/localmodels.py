@@ -39,33 +39,18 @@ def _minimal_bezout(m: int, n: int) -> tuple:
     if m == 0:
         # n is +-1 and p*n = 1 forces p = n; q is free, normalized to 0.
         return (n, 0)
-    _, x, _ = _egcd(n, -m)  # x*n + y*(-m) = 1, so p0 = x
     am = abs(m)
-    c = x % am
+    c = pow(n, -1, am)  # p*n = 1 (mod |m|) fixes p up to multiples of m
     p = c if 2 * c <= am else c - am
     q = (p * n - 1) // m
     return (p, q)
 
 
-def _egcd(a: int, b: int) -> tuple:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def bezout_complement(pair: PairLike) -> tuple:
     """Return (p, q) with p*n - q*m = 1 for the given representative (m, n).
 
-    The output is the extended-Euclid solution with |p| minimal, ties broken
-    toward p >= 0.  Raises :class:`NotCoprime` when gcd(m, n) != 1.
+    The output is the solution with |p| minimal, ties broken toward p >= 0.
+    Raises :class:`NotCoprime` when gcd(m, n) != 1.
     """
     pair = as_pair(pair)
     return _minimal_bezout(pair.m, pair.n)

@@ -1,14 +1,21 @@
 """Command-line front end: exit codes, diagnostics and output formats."""
 
+import contextlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 import t2orbits
 from t2orbits import (
+    DocumentError,
     FixedCycle,
     IsotropyPair,
     LensClass,
@@ -25,6 +32,8 @@ from t2orbits import (
 )
 from t2orbits import cli
 from t2orbits.cli import main
+from t2orbits.documents import to_document
+from tests.conftest import random_legal_system
 
 
 def write(tmp_path, name, system):
@@ -155,6 +164,28 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", pa, pb, "--mode", "weak")
         assert code == 0 and "witness" in out
         assert len(calls) == 2
+
+    def test_wide_witness_is_abbreviated(self, tmp_path):
+        # Every entry parses (2,201 digits), but one witness entry is near
+        # N*M, past Python's int/str conversion limit: it prints as
+        # <k-digit integer> instead of raising out of main.
+        n = 10 ** 2200 + 1
+        m = 10 ** 2200 + 3
+        pa = write(tmp_path, "a.json", WeightSystem(
+            circle_boundaries=(IsotropyPair(n, 1), IsotropyPair(n - 1, 1))))
+        pb = write(tmp_path, "b.json", WeightSystem(
+            circle_boundaries=(IsotropyPair(1, m), IsotropyPair(0, 1))))
+        src = str(Path(t2orbits.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "t2orbits.cli", "compare", "--mode", "weak", pa, pb],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stderr) == (0, "")
+        verdict, witness = done.stdout.splitlines()
+        entry = r"-?(\d+|<\d+-digit integer>)"
+        assert verdict == "isomorphic"
+        assert re.fullmatch(rf"witness: basis change \[\[{entry},{entry}\],\[{entry},{entry}\]\], "
+                            r"orientation reversed: (yes|no)", witness)
+        assert "<4401-digit integer>" in witness
 
     def test_illegal_operand(self, tmp_path, capsys):
         pa = write(tmp_path, "a.json", suspension_of_lens((1, 0), (2, 5)))
@@ -352,3 +383,84 @@ class TestParserReuse:
             assert got == self.outcome(capsys, argv, fresh=True), argv
         codes = [code for code, _, _ in reused]
         assert codes == [("SystemExit", 2), 0, 0, 3, 0, ("SystemExit", 0)]
+
+
+# Integers of 1 to 4,300 digits: up to the parse limit, past which a
+# document is a parse error.
+wide_ints = st.builds(lambda k, sign, low: sign * (10 ** (k - 1) + low),
+                      st.integers(1, 4300), st.sampled_from((1, -1)), st.integers(0, 9))
+doc_ints = st.one_of(st.integers(-4, 4), wide_ints)
+junk = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+                 st.lists(st.integers(-2, 2), max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _entry(pair, f):
+    return {"pair": list(pair), "f": f}
+
+
+drawn_docs = st.fixed_dictionaries({
+    "schema_version": st.just("1"),
+    "obstruction": st.lists(doc_ints, min_size=2, max_size=2),
+    "orientation": st.one_of(st.sampled_from((1, -1)), doc_ints),
+    "genus": st.one_of(st.integers(0, 2), doc_ints),
+    "circle_boundaries": st.lists(st.lists(doc_ints, min_size=2, max_size=2), max_size=3),
+    "fixed_cycles": st.lists(st.lists(st.builds(_entry, st.tuples(doc_ints, doc_ints), doc_ints),
+                                      min_size=1, max_size=4), max_size=2),
+    "exceptional": st.lists(st.fixed_dictionaries(
+        {"alpha": doc_ints, "gamma1": doc_ints, "gamma2": doc_ints}), max_size=2),
+})
+# Legal systems, serialized as the library writes them.
+legal_docs = st.integers(0, 2 ** 32).map(lambda seed: to_document(
+    random_legal_system(random.Random(seed), bound=4)))
+
+
+@st.composite
+def broken(draw, docs):
+    """A document with one key missing, one value of a wrong type, or an
+    unknown key; or a JSON value that is no document at all."""
+    doc = dict(draw(docs))
+    how = draw(st.sampled_from(("drop", "retype", "extra", "not-a-document")))
+    key = draw(st.sampled_from(sorted(doc)))
+    if how == "drop":
+        del doc[key]
+    elif how == "retype":
+        doc[key] = draw(junk)
+    elif how == "extra":
+        doc["extra"] = 0
+    else:
+        return draw(junk)
+    return doc
+
+
+document_texts = st.one_of(
+    st.one_of(legal_docs, drawn_docs, broken(st.one_of(legal_docs, drawn_docs))).map(json.dumps),
+    st.text(max_size=30),
+)
+
+
+class TestExitCodeContract:
+    @staticmethod
+    def call(argv) -> int:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)  # an escaping exception fails the test
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(document_texts, document_texts)
+    def test_every_document_gets_a_contract_exit_code(self, first, second):
+        with tempfile.TemporaryDirectory() as tmp:
+            pa = Path(tmp) / "a.json"
+            pb = Path(tmp) / "b.json"
+            pa.write_text(first, encoding="utf-8")
+            pb.write_text(second, encoding="utf-8")
+            for argv in (["validate", str(pa)], ["compare", str(pa), str(pb)],
+                         ["compare", str(pa), str(pb), "--mode", "weak"],
+                         ["compare", str(pa), str(pa), "--mode", "weak"]):
+                assert self.call(argv) in (0, 1, 2, 3), argv
+        for text in (first, second):
+            try:
+                system = parse(text)
+            except DocumentError:
+                continue
+            assert parse(serialize(system)) == system

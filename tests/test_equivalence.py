@@ -417,6 +417,52 @@ class TestWeakMode:
             assert is_isomorphic(a, b, WEAK) == brute_weak_equal(a, b)
 
 
+# Unimodular products, det +1 and -1, applied to the pinned witness systems.
+PINNED_MOVES = (((1, 1), (0, 1)), ((0, -1), (1, 0)), ((0, 1), (1, 0)), ((1, 0), (0, -1)),
+                ((2, 1), (1, 1)), ((1, -2), (0, -1)), ((3, 2), (1, 1)), ((-1, 3), (1, -2)))
+
+# (matrix, orientation_reversed) of weak_witness(W, A*W) for the systems of
+# test_witness_bytes_are_pinned.  The witness is printed by
+# `compare --mode weak`, so its bytes are contract output: a change to the
+# argmin's candidates or tie-breaking shows here.
+PINNED_WITNESSES = (
+    (((1, 0), (0, -1)), True), (((0, 1), (1, 0)), False),
+    (((-1, 3), (1, -2)), True), (((1, -2), (0, -1)), True),
+    (((1, 0), (0, -1)), True), (((3, 2), (1, 1)), False),
+    (((3, 2), (1, 1)), True), (((0, 1), (-1, 0)), True),
+    (((1, -2), (0, -1)), False), (((1, 0), (0, -1)), True),
+    (((3, 2), (1, 1)), False), (((0, 1), (1, 0)), False),
+    (((-3, -2), (-1, -1)), False), (((-1, 3), (1, -2)), False),
+    (((2, 1), (1, 1)), True), (((1, 0), (0, -1)), True),
+    (((1, 1), (0, 1)), True), (((1, 0), (0, -1)), True),
+    (((0, 1), (1, 0)), True), (((-1, 0), (0, 1)), False),
+    (((1, 0), (0, -1)), False), (((1, 0), (0, -1)), False),
+    (((1, -2), (0, -1)), False), (((2, 1), (1, 1)), True),
+    (((-2, 7), (-1, 3)), False), (((1, 0), (0, -1)), True),
+    (((-1, 3), (1, -2)), True), (((-1, 3), (1, -2)), True),
+    (((-1, 3), (1, -2)), True), (((-2, -1), (-1, -1)), False),
+    (((-1, 3), (1, -2)), True), (((1, -2), (0, -1)), True),
+    (((1, -2), (0, -1)), False), (((1, 0), (0, -1)), False),
+    (((0, -1), (-1, 0)), True), (((2, 1), (1, 1)), False),
+    (((2, 1), (1, 1)), False), (((2, 1), (1, 1)), False),
+    (((1, 1), (0, 1)), False), (((0, 1), (-1, 10)), True),
+)
+
+
+class TestPinnedWitness:
+    def test_witness_bytes_are_pinned(self):
+        rng = random.Random(7)
+        got = []
+        for _ in PINNED_WITNESSES:
+            w = random_legal_system(rng)
+            moved = apply_basis_change(w, rng.choice(PINNED_MOVES))
+            if rng.random() < 0.5:
+                moved = reverse_orientation(moved)
+            witness = weak_witness(w, moved)
+            got.append((witness.matrix, witness.orientation_reversed))
+        assert tuple(got) == PINNED_WITNESSES
+
+
 class TestLargerCycles:
     def test_canonical_cycle_matches_oracle_on_longer_cycles(self, rng):
         # the oracle's search grows as r * 2^r, the canonicalizer's as r^2;

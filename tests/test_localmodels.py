@@ -49,6 +49,36 @@ class TestBezoutComplement:
     def test_deterministic(self, pair):
         assert bezout_complement(pair) == bezout_complement(pair)
 
+    def test_matches_brute_force_with_ties_toward_nonnegative_p(self):
+        # Walk p = 0, 1, -1, 2, -2, ... and take the first p with
+        # p*n = 1 (mod m): minimal |p|, ties (only at |m| = 2) toward p >= 0.
+        for m in range(-30, 31):
+            for n in range(-30, 31):
+                if math.gcd(m, n) != 1:
+                    continue
+                if m == 0:
+                    expected = (n, 0)  # p*n = 1 forces p = n; q is set to 0
+                else:
+                    p = next(p for k in range(abs(m) + 1) for p in (k, -k)
+                             if (p * n - 1) % m == 0)
+                    expected = (p, (p * n - 1) // m)
+                assert bezout_complement((m, n)) == expected, (m, n)
+        assert bezout_complement((2, 1)) == (1, 0)
+        assert bezout_complement((-2, 3)) == (1, -1)
+
+    def test_identity_and_minimality_on_4000_digit_pairs(self):
+        rng = random.Random(4000)
+        checked = 0
+        while checked < 5:
+            m = rng.getrandbits(13_280) * rng.choice((1, -1))
+            n = rng.getrandbits(13_280) * rng.choice((1, -1))
+            if math.gcd(m, n) != 1:
+                continue
+            p, q = bezout_complement((m, n))
+            assert p * n - q * m == 1
+            assert 2 * abs(p) <= abs(m)
+            checked += 1
+
 
 class TestLensClass:
     def test_sphere(self):
