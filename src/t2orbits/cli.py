@@ -169,10 +169,12 @@ def _cmd_generate(args) -> int:
             r1, r2, r3 = (int(x) for x in args.params)
             system = weighted_projective(r1, r2, r3,
                                          orientation=args.orientation)
+        # A determinant past the int/str conversion limit raises ValueError.
+        text = documents.serialize(system)
     except (WeightSystemError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ILLEGAL
-    sys.stdout.write(documents.serialize(system))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

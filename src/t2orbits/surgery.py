@@ -17,15 +17,8 @@ and ``reassemble`` folds it back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .core import (
-    FixedCycle,
-    IsotropyPair,
-    WeightSystem,
-    make_pair,
-    require_legal,
-)
+from .core import FixedCycle, IsotropyPair, WeightSystem, require_legal
 from .equivalence import canonical_cycle
 from .errors import IllegalJunction, IsotropyMismatch, OrientationMismatch
 
@@ -36,7 +29,8 @@ class CircleSelection:
 
     Either a pure circle boundary component (``circle`` is its index) or an
     arc of circular orbits inside a fixed cycle (``cycle`` and ``arc`` index
-    the cycle and the arc within it).
+    the cycle and the arc within it).  Indices count from 0; a negative one
+    raises ValueError rather than counting from the end.
     """
 
     circle: int | None = None
@@ -48,6 +42,8 @@ class CircleSelection:
         on_arc = self.cycle is not None and self.arc is not None
         if on_circle == on_arc:
             raise ValueError("select either a circle boundary or a cycle arc")
+        if min(self.circle or 0, self.cycle or 0, self.arc or 0) < 0:
+            raise ValueError(f"selection indices must be nonnegative: {self}")
 
     @classmethod
     def boundary_circle(cls, index: int) -> "CircleSelection":
@@ -132,7 +128,10 @@ def c_connected_sum(first: WeightSystem, first_selection: CircleSelection,
     subgroups at the selections (:class:`IsotropyMismatch`).  Genus and
     obstruction add, exceptional orbits unite, unselected boundary
     components carry over, and the selected components merge as described in
-    the module docstring.
+    the module docstring: a circle selected in the second system is dropped,
+    else a circle selected in the first is, else the two cycles give way to
+    their splice, appended last.  The first system's other components come
+    first, in order.
     """
     require_legal(first)
     require_legal(second)
@@ -144,47 +143,24 @@ def c_connected_sum(first: WeightSystem, first_selection: CircleSelection,
     if not p1.same_subgroup(p2):
         raise IsotropyMismatch(f"selected isotropies {p1} and {p2} differ")
 
-    def assemble(circles: tuple, cycles: tuple) -> WeightSystem:
-        return WeightSystem(
-            obstruction=(first.obstruction[0] + second.obstruction[0],
-                         first.obstruction[1] + second.obstruction[1]),
-            orientation=first.orientation,
-            genus=first.genus + second.genus,
-            circle_boundaries=circles,
-            fixed_cycles=cycles,
-            exceptional=first.exceptional + second.exceptional,
-        )
-
-    def without(items: Iterable, index: int) -> tuple:
-        return tuple(x for k, x in enumerate(items) if k != index)
-
-    if first_selection.is_circle and second_selection.is_circle:
-        # Two circles fuse into one circle of the common isotropy; keep the
-        # first system's representative in place.
-        circles = (first.circle_boundaries[: first_selection.circle]
-                   + (p1,)
-                   + first.circle_boundaries[first_selection.circle + 1:]
-                   + without(second.circle_boundaries, second_selection.circle))
-        return assemble(circles, first.fixed_cycles + second.fixed_cycles)
-
-    if first_selection.is_circle != second_selection.is_circle:
-        # The pure circle is absorbed by the cycle, which survives unchanged.
-        if first_selection.is_circle:
-            circles = (without(first.circle_boundaries, first_selection.circle)
-                       + second.circle_boundaries)
-        else:
-            circles = (first.circle_boundaries
-                       + without(second.circle_boundaries, second_selection.circle))
-        return assemble(circles, first.fixed_cycles + second.fixed_cycles)
-
-    spliced = _splice(first.fixed_cycles[first_selection.cycle],
-                      first_selection.arc,
-                      second.fixed_cycles[second_selection.cycle],
-                      second_selection.arc)
-    cycles = (without(first.fixed_cycles, first_selection.cycle)
-              + without(second.fixed_cycles, second_selection.cycle)
-              + (spliced,))
-    return assemble(first.circle_boundaries + second.circle_boundaries, cycles)
+    circles1, circles2 = list(first.circle_boundaries), list(second.circle_boundaries)
+    cycles1, cycles2 = list(first.fixed_cycles), list(second.fixed_cycles)
+    if second_selection.is_circle:
+        del circles2[second_selection.circle]
+    elif first_selection.is_circle:
+        del circles1[first_selection.circle]
+    else:
+        cycles2.append(_splice(cycles1.pop(first_selection.cycle), first_selection.arc,
+                               cycles2.pop(second_selection.cycle), second_selection.arc))
+    return WeightSystem(
+        obstruction=(first.obstruction[0] + second.obstruction[0],
+                     first.obstruction[1] + second.obstruction[1]),
+        orientation=first.orientation,
+        genus=first.genus + second.genus,
+        circle_boundaries=tuple(circles1 + circles2),
+        fixed_cycles=tuple(cycles1 + cycles2),
+        exceptional=first.exceptional + second.exceptional,
+    )
 
 
 def decompose(system: WeightSystem) -> Decomposition:
@@ -198,8 +174,6 @@ def decompose(system: WeightSystem) -> Decomposition:
     exists the decomposition is (system, no pieces).
     """
     require_legal(system)
-    if all(abs(f) == 1 for cycle in system.fixed_cycles for f in cycle.dets):
-        return Decomposition(system, (), ())
     manifold_cycles = []
     pieces = []
     gluings = []
@@ -210,15 +184,13 @@ def decompose(system: WeightSystem) -> Decomposition:
             manifold_cycles.append(cycle)
             continue
         canon = canonical_cycle(cycle)
-        piece = WeightSystem(orientation=system.orientation,
-                             fixed_cycles=(canon,))
-        lead = canon.pairs[0]
-        gluings.append((
-            CircleSelection.boundary_circle(base + len(new_circles)),
-            CircleSelection.cycle_arc(0, 0),
-        ))
-        new_circles.append(make_pair(lead.m, lead.n))
-        pieces.append(piece)
+        gluings.append((CircleSelection.boundary_circle(base + len(pieces)),
+                        CircleSelection.cycle_arc(0, 0)))
+        new_circles.append(canon.pairs[0].canonical())
+        pieces.append(WeightSystem(orientation=system.orientation,
+                                   fixed_cycles=(canon,)))
+    if not pieces:
+        return Decomposition(system, (), ())
     manifold = WeightSystem(
         obstruction=system.obstruction,
         orientation=system.orientation,
@@ -234,38 +206,31 @@ def reassemble(decomposition: Decomposition) -> WeightSystem:
     """Fold the connected sums of a decomposition back into one system.
 
     Selections in ``gluings`` refer to component indices of
-    ``manifold_part`` as given; index shifts caused by earlier sums in the
-    fold are tracked here.  Referring to a component consumed by an earlier
-    gluing raises ValueError.
+    ``manifold_part`` as given.  Every sum keeps the running system's
+    components at the front, in order, and consumes a manifold component
+    exactly when the piece's selection is a cycle arc (a circle absorbed by
+    the piece's cycle, or a cycle spliced away).  So a component's current
+    index is its given index minus the number of consumed indices of its
+    kind below it.  An index past the manifold part's own components raises
+    IndexError; one consumed by an earlier gluing raises ValueError.
     """
-    running = decomposition.manifold_part
-    circle_map = list(range(running.circle_count))
-    cycle_map = list(range(running.cycle_count))
-
-    def remap(sel: CircleSelection) -> CircleSelection:
+    manifold = running = decomposition.manifold_part
+    consumed = {"circle": set(), "cycle": set()}
+    for (sel, piece_sel), piece in zip(decomposition.gluings,
+                                       decomposition.simple_pieces):
         if sel.is_circle:
-            if circle_map[sel.circle] is None:
-                raise ValueError(f"circle {sel.circle} was already consumed")
-            return CircleSelection.boundary_circle(circle_map[sel.circle])
-        if cycle_map[sel.cycle] is None:
-            raise ValueError(f"cycle {sel.cycle} was already consumed")
-        return CircleSelection.cycle_arc(cycle_map[sel.cycle], sel.arc)
-
-    for (manifold_sel, piece_sel), piece in zip(decomposition.gluings,
-                                                decomposition.simple_pieces):
-        current = remap(manifold_sel)
+            kind, index, count = "circle", sel.circle, manifold.circle_count
+        else:
+            kind, index, count = "cycle", sel.cycle, manifold.cycle_count
+        used = consumed[kind]
+        if index >= count:
+            raise IndexError(f"{kind} {index} is not in the manifold part")
+        if index in used:
+            raise ValueError(f"{kind} {index} was already consumed")
+        shifted = index - sum(k < index for k in used)
+        current = (CircleSelection.boundary_circle(shifted) if sel.is_circle
+                   else CircleSelection.cycle_arc(shifted, sel.arc))
         running = c_connected_sum(running, current, piece, piece_sel)
-        # circle + circle keeps the fused circle in place and cycle + circle
-        # keeps the cycle, so only two shapes consume a manifold component:
-        # a circle absorbed by the piece's cycle, or a cycle spliced away.
-        if current.is_circle and not piece_sel.is_circle:
-            circle_map[manifold_sel.circle] = None
-            for k, v in enumerate(circle_map):
-                if v is not None and v > current.circle:
-                    circle_map[k] = v - 1
-        elif not current.is_circle and not piece_sel.is_circle:
-            cycle_map[manifold_sel.cycle] = None
-            for k, v in enumerate(cycle_map):
-                if v is not None and v > current.cycle:
-                    cycle_map[k] = v - 1
+        if not piece_sel.is_circle:
+            used.add(index)
     return running

@@ -289,6 +289,18 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "suspension", "10", "2,5")
         assert code == 2
 
+    def test_too_wide_determinant_is_one_diagnostic_line(self):
+        # Both pairs parse (3,000 digits), but r = det = 1 - N^2 has about
+        # 6,000 digits, past Python's int/str conversion limit.
+        n = "1" + "0" * 2999
+        src = str(Path(t2orbits.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "t2orbits.cli", "generate", "suspension", f"1,{n}", f"{n},1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout) == (2, "")
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: ")
+
     def test_generated_document_pipes_into_validate(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "generate", "suspension", "1,0", "2,5")
         monkeypatch.setattr("sys.stdin", io.StringIO(out))
@@ -385,11 +397,14 @@ class TestParserReuse:
         assert codes == [("SystemExit", 2), 0, 0, 3, 0, ("SystemExit", 0)]
 
 
-# Integers of 1 to 4,300 digits: up to the parse limit, past which a
-# document is a parse error.
-wide_ints = st.builds(lambda k, sign, low: sign * (10 ** (k - 1) + low),
-                      st.integers(1, 4300), st.sampled_from((1, -1)), st.integers(0, 9))
-doc_ints = st.one_of(st.integers(-4, 4), wide_ints)
+def wide_ints(max_digits):
+    """Integers of 1 to ``max_digits`` digits. 4,300 is the parse limit,
+    past which a document is a parse error."""
+    return st.builds(lambda k, sign, low: sign * (10 ** (k - 1) + low),
+                     st.integers(1, max_digits), st.sampled_from((1, -1)), st.integers(0, 9))
+
+
+doc_ints = st.one_of(st.integers(-4, 4), wide_ints(4300))
 junk = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
                  st.lists(st.integers(-2, 2), max_size=3),
                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
@@ -439,6 +454,21 @@ document_texts = st.one_of(
 )
 
 
+# Constructor parameters as the command line takes them: coprime pairs
+# (m, 1), (1, m), (m, m + 1) and pairwise coprime weights (k, k + 1, 2k + 1),
+# or any integers, or malformed text.
+param_ints = st.one_of(st.integers(-6, 6), wide_ints(3000))
+coprime_pairs = st.builds(lambda m, i: ((m, 1), (1, m), (m, m + 1))[i],
+                          param_ints, st.integers(0, 2))
+param_pairs = st.one_of(
+    st.one_of(coprime_pairs, st.tuples(param_ints, param_ints)).map(lambda p: f"{p[0]},{p[1]}"),
+    st.sampled_from(("1,2,3", "a,b", "", "7")))
+param_weights = st.one_of(
+    param_ints.map(lambda k: (abs(k), abs(k) + 1, 2 * abs(k) + 1)),
+    st.tuples(param_ints, param_ints, param_ints),
+).map(lambda ws: [str(w) for w in ws])
+
+
 class TestExitCodeContract:
     @staticmethod
     def call(argv) -> int:
@@ -464,3 +494,15 @@ class TestExitCodeContract:
             except DocumentError:
                 continue
             assert parse(serialize(system)) == system
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(document_texts, param_pairs, param_pairs, param_weights)
+    def test_every_other_command_gets_a_contract_exit_code(self, text, first, second, weights):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a.json"
+            path.write_text(text, encoding="utf-8")
+            for argv in (["localmodels", str(path)],
+                         ["decompose", str(path), "--out", str(Path(tmp) / "out")],
+                         ["generate", "suspension", first, second],
+                         ["generate", "weighted-projective", *weights]):
+                assert self.call(argv) in (0, 1, 2, 3), argv

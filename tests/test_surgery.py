@@ -36,6 +36,15 @@ class TestCircleSelection:
         with pytest.raises(ValueError):
             CircleSelection(circle=0, cycle=0, arc=0)
 
+    def test_negative_indices_are_rejected(self):
+        # A negative index counted from the end in one place and not in
+        # another, so fusing circle -1 of two circles with circle 0 of two
+        # others gave five circles, not three.
+        for bad in (dict(circle=-1), dict(cycle=-1, arc=0), dict(cycle=0, arc=-2),
+                    dict(circle=0, cycle=-1)):
+            with pytest.raises(ValueError):
+                CircleSelection(**bad)
+
     def test_pair_lookup(self):
         w = suspension_of_lens((1, 0), (2, 5))
         assert arc(0, 1).pair_in(w) == IsotropyPair(2, 5)
@@ -91,6 +100,17 @@ class TestConnectedSum:
         host = WeightSystem(circle_boundaries=(IsotropyPair(2, 5),))
         s = c_connected_sum(host, circle(0), piece, arc(0, 0))
         assert validate(s).is_legal
+
+    def test_cycle_arc_absorbs_a_circle_of_the_second(self):
+        a = WeightSystem(genus=1, circle_boundaries=(IsotropyPair(3, 1),),
+                         fixed_cycles=suspension_of_lens((1, 0), (2, 5)).fixed_cycles)
+        b = WeightSystem(circle_boundaries=(IsotropyPair(7, 2), IsotropyPair(-2, -5),
+                                            IsotropyPair(1, 1)))
+        s = c_connected_sum(a, arc(0, 1), b, circle(1))
+        assert s == WeightSystem(
+            genus=1,
+            circle_boundaries=(IsotropyPair(3, 1), IsotropyPair(7, 2), IsotropyPair(1, 1)),
+            fixed_cycles=a.fixed_cycles)
 
     def test_isotropy_mismatch(self):
         a = WeightSystem(circle_boundaries=(IsotropyPair(1, 0),))
@@ -239,3 +259,53 @@ class TestReassemble:
                                 d.gluings + d.gluings)
         with pytest.raises(ValueError):
             reassemble(doubled)
+
+    def test_out_of_order_consumption(self):
+        # The gluings consume circle 1, cycle 1, cycle 0 and circle 0 of the
+        # manifold part, in that order; the fusion at circle 2 and the circle
+        # glued to cycle 2 consume nothing.
+        manifold = WeightSystem(
+            circle_boundaries=(IsotropyPair(1, 0), IsotropyPair(0, 1), IsotropyPair(1, 1)),
+            fixed_cycles=(FixedCycle.from_pairs([(1, 0), (0, 1)]),
+                          FixedCycle.from_pairs([(1, 0), (1, 2)]),
+                          FixedCycle.from_pairs([(2, 1), (1, 1)])))
+        pieces = (
+            suspension_of_lens((0, -1), (2, 5)),
+            suspension_of_lens((1, 2), (1, 5)),
+            WeightSystem(circle_boundaries=(IsotropyPair(-1, -1), IsotropyPair(5, 2))),
+            WeightSystem(genus=1, circle_boundaries=(IsotropyPair(1, 1), IsotropyPair(2, 1))),
+            suspension_of_lens((3, 1), (-1, 0)),
+            weighted_projective(1, 2, 3),
+        )
+        gluings = (
+            (circle(1), arc(0, 0)),
+            (arc(1, 1), arc(0, 0)),
+            (arc(2, 1), circle(0)),
+            (circle(2), circle(0)),
+            (arc(0, 0), arc(0, 1)),
+            (circle(0), arc(0, 0)),
+        )
+        assert reassemble(Decomposition(manifold, pieces, gluings)) == WeightSystem(
+            genus=1,
+            circle_boundaries=(IsotropyPair(1, 1), IsotropyPair(5, 2), IsotropyPair(2, 1)),
+            fixed_cycles=(
+                FixedCycle.from_pairs([(2, 1), (1, 1)]),
+                FixedCycle.from_pairs([(0, -1), (2, 5)]),
+                FixedCycle.from_pairs([(1, 0), (1, 2), (1, 5), (1, 2)]),
+                FixedCycle.from_pairs([(1, 0), (3, 1), (-1, 0), (0, 1)]),
+                FixedCycle.from_pairs([(1, 0), (1, 2), (1, -1)]),
+            ))
+        for reused, name in (((arc(1, 0), arc(0, 0)), "cycle 1"),
+                             ((circle(1), arc(0, 0)), "circle 1")):
+            with pytest.raises(ValueError, match=f"{name} was already consumed"):
+                reassemble(Decomposition(manifold, pieces + pieces[1:2],
+                                         gluings + (reused,)))
+
+    def test_index_past_the_manifold_part_raises(self):
+        # After the first fusion the running system has a circle 1, but it
+        # belongs to the piece, not to the manifold part.
+        manifold = WeightSystem(circle_boundaries=(IsotropyPair(1, 0),))
+        piece = WeightSystem(circle_boundaries=(IsotropyPair(1, 0), IsotropyPair(0, 1)))
+        with pytest.raises(IndexError):
+            reassemble(Decomposition(manifold, (piece, piece),
+                                     ((circle(0), circle(0)), (circle(1), circle(1)))))
