@@ -20,6 +20,14 @@ it follows, rotation by rotation, only the sign choices whose key prefix is
 least, which on a legal cycle forces every sign (see ``_canonical_flat``).
 The product of the signs of the determinants around a cycle is invariant
 under all flips and makes a cheap prefilter when comparing cycles by hand.
+
+A WEAK decision (``weak_witness``) compares cheap invariants first: the
+genus, the number of circles, the per-cycle multisets of |f|, gcd(b1, b2)
+and the multiset of alphas.  Every WEAK move keeps each of them and each can
+be read off the WEAK components, so a difference answers "not isomorphic"
+exactly, without minimizing.  Otherwise both systems are minimized over
+basis candidates (``_weak_argmin``), each candidate scored on plain integer
+tuples rather than a rebuilt system.
 """
 
 from __future__ import annotations
@@ -331,26 +339,29 @@ def _basis_candidates(system: WeightSystem) -> list:
     return sorted(candidates)
 
 
-def _abs_map(value):
-    if type(value) is tuple:
-        return tuple(_abs_map(x) for x in value)
-    return abs(value)
-
-
-def _weak_rank(components: tuple) -> tuple:
-    # Magnitude-first ordering.  A plain lexicographic minimum over strict
-    # components is not coercive (larger shears make pair entries more
-    # negative, hence "smaller"), so the entry-wise absolute values lead and
-    # the exact components only break ties.  The optimum is then a
-    # Euclidean-reduced configuration, which the candidate windows contain.
-    return (_abs_map(components), components)
-
-
 def _weak_argmin(system: WeightSystem) -> tuple:
     """Minimal strict components over orientation reversal and basis candidates.
 
     Returns (components, matrix, reversed) where ``matrix`` and ``reversed``
-    witness the minimizing transformation.
+    witness the minimizing transformation.  Candidates are ranked
+    magnitude-first: a plain lexicographic minimum over strict components is
+    not coercive (larger shears make pair entries more negative, hence
+    "smaller"), so the entry-wise absolute values of the components lead and
+    the exact components only break ties.  The optimum is then a
+    Euclidean-reduced configuration, which the candidate windows contain.
+
+    Each candidate is scored on plain tuples: the base's obstruction, circle
+    pairs and cycle entries are read once per orientation and moved by integer
+    arithmetic, the same values ``_strict_components(apply_basis_change(base,
+    matrix))`` would give, without building the system.
+
+    A candidate is dropped before its cycles are canonicalized when its rank
+    is already above the best one's: on the obstruction and circles, or,
+    with those equal, on a lower bound of the first entry of the cycle
+    ranks.  The least cycle key starts at an entry whose |f| is the least
+    over all cycles, so that entry ranks at least (|f|, |f|, |m|, |n|)
+    minimized over the moved pairs of such entries.  Ties are never
+    dropped, so the first least candidate still wins.
     """
     # Reversal keeps every subgroup and at most negates the one anchor of a
     # pair-free closed system, whose two signs are both tried: both
@@ -358,13 +369,54 @@ def _weak_argmin(system: WeightSystem) -> tuple:
     candidates = _basis_candidates(system)
     best = None
     for flipped, base in ((False, system), (True, reverse_orientation(system))):
+        b1, b2 = base.obstruction
+        orientation = base.orientation
+        genus = base.genus
+        circles = [(p.m, p.n) for p in base.circle_boundaries]
+        cycles = [[(p.m, p.n, f) for p, f in cycle.entries()] for cycle in base.fixed_cycles]
+        exceptional = tuple(sorted(e.key() for e in base.exceptional))
+        abs_exceptional = tuple((abs(x), abs(y), abs(z)) for x, y, z in exceptional)
+        # The least key starts at an entry of the least |f| over all cycles.
+        least = min((abs(f) for entries in cycles for _, _, f in entries), default=None)
+        leading = [(m, n) for entries in cycles for m, n, f in entries if abs(f) == least]
         for matrix in candidates:
-            candidate = apply_basis_change(base, matrix)
-            components = _strict_components(candidate)
-            entry = (_weak_rank(components), matrix, flipped, components)
-            if best is None or entry[0] < best[0]:
-                best = entry
-    _, matrix, flipped, components = best
+            (a, b), (c, d) = matrix
+            det = a * d - b * c
+            obstruction = (a * b1 + b * b2, c * b1 + d * b2)
+            moved = []
+            for m, n in circles:
+                x = a * m + b * n
+                y = c * m + d * n
+                if x < 0 or (x == 0 and y < 0):  # IsotropyPair.canonical
+                    x, y = -x, -y
+                moved.append((x, y))
+            moved.sort()
+            head = ((abs(obstruction[0]), abs(obstruction[1])), abs(orientation),
+                    abs(genus), tuple([(abs(x), abs(y)) for x, y in moved]))
+            if best is not None:
+                top = best[0][0]
+                if head > top[:4]:
+                    continue
+                if head == top[:4] and leading:
+                    low = min([(abs(a * m + b * n), abs(c * m + d * n)) for m, n in leading])
+                    if (least, least) + low > top[4][0][0]:
+                        continue
+            keys = []
+            for entries in cycles:
+                flat = []
+                for m, n, f in entries:
+                    flat += (a * m + b * n, c * m + d * n, det * f)
+                keys.append(_canonical_flat(tuple(flat)))
+            keys.sort()
+            components = (obstruction, orientation, genus, tuple(moved),
+                          tuple(keys), exceptional)
+            rank = (head + (tuple([tuple([(e[0], e[0], abs(e[2]), abs(e[3])) for e in key])
+                                   for key in keys]),
+                            abs_exceptional),
+                    components)
+            if best is None or rank < best[0]:
+                best = (rank, matrix, flipped)
+    (_, components), matrix, flipped = best
     return components, matrix, flipped
 
 
@@ -410,15 +462,35 @@ class Witness:
     orientation_reversed: bool
 
 
+def _weak_invariants(system: WeightSystem) -> tuple:
+    """Cheap values that every WEAK move keeps; see :func:`weak_witness`."""
+    b1, b2 = system.obstruction
+    return (system.genus, len(system.circle_boundaries),
+            sorted(tuple(sorted(map(abs, cycle.dets))) for cycle in system.fixed_cycles),
+            math.gcd(b1, b2),
+            sorted(e.alpha for e in system.exceptional))
+
+
 def weak_witness(first: WeightSystem, second: WeightSystem) -> Witness | None:
     """A witnessing basis change / orientation flip, or None.
 
     Returns a witness exactly when the two systems are WEAK-isomorphic; this
     is the one WEAK decision.  Raises :class:`IllegalWeightSystem` when
     either system is illegal.
+
+    Systems that differ in the genus, the number of circles, the multiset
+    of per-cycle multisets of |f|, gcd(b1, b2) or the multiset of alphas
+    get None before either argmin runs.  The shortcut is exact: each value
+    is kept by re-presentation, by a basis change of determinant +-1 (which
+    scales every f by +-1 and keeps the gcd of a vector) and by orientation
+    reversal (which keeps every alpha and every |f|), and each can be read
+    off the argmin's components.  So when one differs the components
+    differ too, and the answer is None either way.
     """
     require_legal(first)
     require_legal(second)
+    if _weak_invariants(first) != _weak_invariants(second):
+        return None
     components1, mat1, flip1 = _weak_argmin(first)
     components2, mat2, flip2 = _weak_argmin(second)
     if components1 != components2:

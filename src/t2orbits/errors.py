@@ -47,7 +47,13 @@ class OrientationMismatch(WeightSystemError):
 
 
 class IllegalJunction(WeightSystemError):
-    """A splice produced a zero determinant at a junction of two cycles."""
+    """A splice produced a zero determinant at a junction of two cycles.
+
+    Kept as public API; no current path raises it.  ``c_connected_sum``
+    splices two cycles only at arcs naming one subgroup, and then both
+    junction determinants are, up to sign, stored determinants of the legal
+    operands, which are nonzero.
+    """
 
 
 class NoSolutionInBound(WeightSystemError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .core import FixedCycle, IsotropyPair, WeightSystem, require_legal
 from .equivalence import canonical_cycle
-from .errors import IllegalJunction, IsotropyMismatch, OrientationMismatch
+from .errors import IsotropyMismatch, OrientationMismatch
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,19 +103,13 @@ def _splice(c1: FixedCycle, i: int, c2: FixedCycle, j: int) -> FixedCycle:
     The second cycle's entries are inserted after arc i, starting just past
     arc j and ending with arc j itself, so both selected arcs survive into
     the result and all original fixed points persist.  The two junction
-    determinants are recomputed from the now-adjacent representatives.
+    determinants are recomputed from the now-adjacent representatives.  They
+    are never 0: the arcs name one subgroup, p1 = +-p2, so the junctions give
+    det(p1, c2[j+1]) = +-det(p2, c2[j+1]) and det(c2[j], c1[i+1]) =
+    +-det(p1, c1[i+1]), stored determinants of legal cycles.
     """
     pairs = c1.pairs[: i + 1] + c2.pairs[j + 1:] + c2.pairs[: j + 1] + c1.pairs[i + 1:]
-    spliced = FixedCycle.from_pairs(pairs)
-    r = len(spliced)
-    # Junctions sit after position i (start of the inserted block) and after
-    # position i + len(c2) (its end); the latter is the wrap when i was last.
-    for w in (i, i + len(c2)):
-        if spliced.dets[w] == 0:
-            raise IllegalJunction(
-                f"splice junction between {spliced.pairs[w]} and "
-                f"{spliced.pairs[(w + 1) % r]} has determinant 0")
-    return spliced
+    return FixedCycle.from_pairs(pairs)
 
 
 def c_connected_sum(first: WeightSystem, first_selection: CircleSelection,

@@ -1,6 +1,7 @@
 """Canonical forms, presentational symmetries and the isomorphism decision."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from t2orbits import (
     EnumerationBounds,
     EquivalenceMode,
+    ExceptionalOrbit,
     FixedCycle,
     IllegalWeightSystem,
     IsotropyPair,
@@ -26,8 +28,15 @@ from t2orbits import (
     weak_witness,
     weighted_projective,
 )
-from t2orbits.equivalence import _canonical_flat
-from tests.conftest import random_legal_cycle, random_legal_system
+from t2orbits import equivalence
+from t2orbits.equivalence import (
+    _basis_candidates,
+    _canonical_flat,
+    _strict_components,
+    _weak_argmin,
+    _weak_invariants,
+)
+from tests.conftest import random_coprime_pair, random_legal_cycle, random_legal_system
 
 STRICT = EquivalenceMode.STRICT
 WEAK = EquivalenceMode.WEAK
@@ -116,6 +125,62 @@ def flip_flat(flat: tuple, w: int) -> tuple:
 
 def cycle_key(cycle: FixedCycle) -> tuple:
     return tuple((abs(f), f, p.m, p.n) for p, f in cycle.entries())
+
+
+def abs_rank(value):
+    """Entry-wise absolute value of a nested tuple of integers."""
+    if type(value) is tuple:
+        return tuple(abs_rank(x) for x in value)
+    return abs(value)
+
+
+def reference_weak_argmin(system: WeightSystem) -> tuple:
+    """The WEAK argmin built from the public operations.
+
+    Every candidate is a whole system, ``apply_basis_change`` of the system
+    or of its reversal, ranked by the recursive entry-wise absolute value of
+    its strict components with the components breaking ties; the first
+    least candidate wins.  Returns (components, matrix, reversed).
+    """
+    candidates = _basis_candidates(system)
+    best = None
+    for flipped, base in ((False, system), (True, reverse_orientation(system))):
+        for matrix in candidates:
+            components = _strict_components(apply_basis_change(base, matrix))
+            rank = (abs_rank(components), components)
+            if best is None or rank < best[0]:
+                best = (rank, matrix, flipped)
+    (_, components), matrix, flipped = best
+    return components, matrix, flipped
+
+
+def random_exceptional(rng: random.Random) -> ExceptionalOrbit:
+    while True:
+        alpha = rng.randint(2, 7)
+        g1, g2 = rng.randrange(alpha), rng.randrange(alpha)
+        if math.gcd(alpha, g1, g2) == 1:
+            return ExceptionalOrbit(alpha, g1, g2)
+
+
+def random_wide_system(rng: random.Random) -> WeightSystem:
+    """A legal system beyond the census: cycles of length up to 8, entries
+    up to 30, exceptional orbits; a fifth are closed with an obstruction and
+    a fifth carry circles only."""
+    bound = rng.choice((2, 5, 12, 30))
+    exceptional = tuple(random_exceptional(rng) for _ in range(rng.choice((0, 0, 1, 2))))
+    circles = cycles = ()
+    obstruction = (0, 0)
+    kind = rng.random()
+    if kind < 0.2:
+        obstruction = (rng.randint(-30, 30), rng.randint(-30, 30))
+    elif kind < 0.4:
+        circles = tuple(random_coprime_pair(rng, bound) for _ in range(rng.randint(1, 4)))
+    else:
+        cycles = tuple(random_legal_cycle(rng, length=rng.randint(2, 8), bound=bound)
+                       for _ in range(rng.randint(1, 2)))
+        circles = tuple(random_coprime_pair(rng, bound) for _ in range(rng.randint(0, 1)))
+    return WeightSystem(obstruction, rng.choice((1, -1)), rng.randint(0, 2),
+                        circles, cycles, exceptional)
 
 
 class TestCanonicalCycle:
@@ -287,7 +352,6 @@ class TestReverseOrientation:
             assert validate(reverse_orientation(w)).is_legal
 
     def test_seifert_conjugation(self):
-        from t2orbits import ExceptionalOrbit
         w = WeightSystem(exceptional=(ExceptionalOrbit(5, 2, 0),))
         assert reverse_orientation(w).exceptional[0] == ExceptionalOrbit(5, 3, 0)
 
@@ -461,6 +525,111 @@ class TestPinnedWitness:
             witness = weak_witness(w, moved)
             got.append((witness.matrix, witness.orientation_reversed))
         assert tuple(got) == PINNED_WITNESSES
+
+
+class TestWeakArgminOracle:
+    def test_matches_the_reference_on_wide_systems(self):
+        rng = random.Random(0xA5617)
+        for _ in range(120):
+            w = random_wide_system(rng)
+            assert _weak_argmin(w) == reference_weak_argmin(w), w
+
+    def test_matches_the_reference_on_a_census(self):
+        bounds = EnumerationBounds(max_genus=1, max_cycles=1, max_cycle_length=3,
+                                   max_weight_entry=2, max_exceptional=1, max_alpha=3,
+                                   max_circle_boundaries=1, max_obstruction=2)
+        for w in itertools.islice(enumerate_legal(bounds), 0, None, 97):
+            assert _weak_argmin(w) == reference_weak_argmin(w), w
+
+
+def invariants_of_components(components: tuple) -> tuple:
+    """The invariants of ``_weak_invariants`` read off strict components."""
+    obstruction, _, genus, circles, cycles, exceptional = components
+    return (genus, len(circles),
+            sorted(tuple(sorted(entry[0] for entry in key)) for key in cycles),
+            math.gcd(*obstruction),
+            sorted(alpha for alpha, _, _ in exceptional))
+
+
+# One legal pair per invariant the shortcut compares; each differs in it.
+SUSPENSION = suspension_of_lens((1, 0), (2, 5))
+SQUARE = FixedCycle.from_pairs([(1, 0), (0, 1), (-1, 0), (0, -1)])
+DIGON = FixedCycle.from_pairs([(1, 0), (0, 1)])
+INVARIANT_BREAKS = {
+    "genus": (SUSPENSION, WeightSystem(genus=1, fixed_cycles=SUSPENSION.fixed_cycles)),
+    "circles": (WeightSystem(circle_boundaries=((1, 0),)),
+                WeightSystem(circle_boundaries=((1, 0), (1, 0)))),
+    # the same |f| multiset, four 1s, split into one cycle or two
+    "cycles": (WeightSystem(fixed_cycles=(SQUARE,)),
+               WeightSystem(fixed_cycles=(DIGON, DIGON))),
+    "abs_f": (SUSPENSION, suspension_of_lens((1, 0), (3, 7))),
+    "obstruction_gcd": (WeightSystem(obstruction=(2, 4)), WeightSystem(obstruction=(2, 3))),
+    "alpha": (WeightSystem(exceptional=(ExceptionalOrbit(3, 1, 0),)),
+              WeightSystem(exceptional=(ExceptionalOrbit(5, 1, 0),))),
+}
+
+
+class TestWeakShortcut:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        argmin = equivalence._weak_argmin
+
+        def counted(system):
+            calls.append(system)
+            return argmin(system)
+
+        monkeypatch.setattr(equivalence, "_weak_argmin", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(INVARIANT_BREAKS))
+    def test_a_broken_invariant_skips_the_argmin(self, name, calls):
+        first, second = INVARIANT_BREAKS[name]
+        assert validate(first).is_legal and validate(second).is_legal
+        assert _weak_invariants(first) != _weak_invariants(second)
+        assert weak_witness(first, second) is None
+        assert weak_witness(second, first) is None
+        assert not is_isomorphic(first, second, WEAK)
+        assert calls == []
+
+    def test_equal_invariants_still_run_the_argmin(self, calls):
+        # The suspensions of L(5, 2) and L(5, 1) share every cheap invariant
+        # and are not WEAK-isomorphic: only the argmins tell them apart.
+        first = SUSPENSION
+        second = suspension_of_lens((1, 0), (1, 5))
+        assert _weak_invariants(first) == _weak_invariants(second)
+        assert reference_weak_argmin(first)[0] != reference_weak_argmin(second)[0]
+        assert weak_witness(first, second) is None
+        assert len(calls) == 2
+
+    def test_invariants_are_read_off_the_components(self):
+        rng = random.Random(0x1A7)
+        for _ in range(80):
+            w = random_wide_system(rng)
+            assert invariants_of_components(reference_weak_argmin(w)[0]) \
+                == _weak_invariants(w), w
+
+    def test_differing_invariants_mean_differing_components(self):
+        # Systems from a small census, so that many pairs share some but not
+        # all invariants, each with a reversed or basis-changed copy, so that
+        # some pairs are WEAK-isomorphic.
+        bounds = EnumerationBounds(max_genus=1, max_cycles=2, max_cycle_length=2,
+                                   max_weight_entry=2, max_exceptional=1, max_alpha=3,
+                                   max_circle_boundaries=1, max_obstruction=2)
+        census = list(itertools.islice(enumerate_legal(bounds), 0, None, 23))
+        rng = random.Random(0xD1FF)
+        sample = []
+        for w in rng.sample(census, 25):
+            moved = apply_basis_change(w, rng.choice(PINNED_MOVES))
+            sample += [w, reverse_orientation(moved) if rng.random() < 0.5 else moved]
+        forms = [reference_weak_argmin(w)[0] for w in sample]
+        differing = isomorphic = 0
+        for i, j in itertools.combinations(range(len(sample)), 2):
+            if _weak_invariants(sample[i]) != _weak_invariants(sample[j]):
+                differing += 1
+                assert forms[i] != forms[j], (sample[i], sample[j])
+            isomorphic += forms[i] == forms[j]
+        assert differing > 500 and isomorphic >= 25
 
 
 class TestLargerCycles:
