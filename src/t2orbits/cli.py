@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -194,9 +195,18 @@ def _cmd_enumerate(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ILLEGAL
     count = 0
-    for system in enumerate_legal(bounds):
-        sys.stdout.write(documents.serialize_compact(system) + "\n")
-        count += 1
+    try:
+        for system in enumerate_legal(bounds):
+            sys.stdout.write(documents.serialize_compact(system) + "\n")
+            count += 1
+        sys.stdout.flush()  # so that a reader gone early is seen here
+    except BrokenPipeError:
+        # The reader has closed the pipe (``enumerate | head``).  Point stdout
+        # at the null device so the interpreter's final flush cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     print(f"{count} systems", file=sys.stderr)
     return EXIT_OK
 

@@ -200,7 +200,7 @@ class FixedCycle:
         return cached
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightSystem:
     """The full invariant tuple attached to a weighted orbit space.
 
@@ -219,22 +219,31 @@ class WeightSystem:
     fixed_cycles: tuple = ()
     exceptional: tuple = ()
 
-    def __post_init__(self):
-        b = self.obstruction
+    def __init__(self, obstruction=(0, 0), orientation=1, genus=0,
+                 circle_boundaries=(), fixed_cycles=(), exceptional=()):
+        # Coerce to plain ints and tuples (so True is stored as 1 and
+        # serializes as a number), then set every field in one step.
+        b = obstruction
         if not (type(b) is tuple and len(b) == 2
                 and type(b[0]) is int and type(b[1]) is int):
             b1, b2 = b
-            object.__setattr__(self, "obstruction", (int(b1), int(b2)))
-        circles = self.circle_boundaries
+            b = (int(b1), int(b2))
+        if type(orientation) is not int:
+            orientation = int(orientation)
+        if type(genus) is not int:
+            genus = int(genus)
+        circles = circle_boundaries
+        if type(circles) is not tuple:
+            circles = tuple(circles)
         if circles and not all(type(p) is IsotropyPair for p in circles):
-            object.__setattr__(self, "circle_boundaries",
-                               tuple(as_pair(p) for p in circles))
-        elif type(circles) is not tuple:
-            object.__setattr__(self, "circle_boundaries", tuple(circles))
-        if type(self.fixed_cycles) is not tuple:
-            object.__setattr__(self, "fixed_cycles", tuple(self.fixed_cycles))
-        if type(self.exceptional) is not tuple:
-            object.__setattr__(self, "exceptional", tuple(self.exceptional))
+            circles = tuple(as_pair(p) for p in circles)
+        if type(fixed_cycles) is not tuple:
+            fixed_cycles = tuple(fixed_cycles)
+        if type(exceptional) is not tuple:
+            exceptional = tuple(exceptional)
+        self.__dict__.update(obstruction=b, orientation=orientation, genus=genus,
+                             circle_boundaries=circles, fixed_cycles=fixed_cycles,
+                             exceptional=exceptional)
 
     @property
     def circle_count(self) -> int:

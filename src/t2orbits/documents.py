@@ -16,7 +16,11 @@ All integers are decimal, at most ``sys.get_int_max_str_digits()`` digits
 wide (4,300 by default): Python's int/str conversion limit, which this
 module leaves as it is.  A wider integer is a :class:`DocumentError` in
 :func:`parse` and a ``ValueError`` in :func:`serialize` and
-:func:`serialize_compact`.  Parsing keeps sign representatives and component
+:func:`serialize_compact`.  :func:`serialize_compact` writes its one line
+directly rather than through :func:`to_document` and ``json.dumps``, reusing
+the text of each fixed cycle, which enumerated systems share; the line equals
+``json.dumps(to_document(w), separators=(",", ":"))`` byte for byte, and the
+tests hold it to that.  Parsing keeps sign representatives and component
 order verbatim, so parse(serialize(W)) equals W field by field and
 serialize(parse(text)) reproduces the canonical layout byte for byte.
 Structural problems, nesting too deep for the JSON decoder included, raise
@@ -98,9 +102,39 @@ def serialize(system: WeightSystem) -> str:
     return "\n".join(out) + "\n"
 
 
+_int = int.__repr__  # how json.dumps writes an int; ValueError past the limit
+
+
+def _compact_cycle(cycle: FixedCycle) -> str:
+    """The compact JSON list of one cycle's entries.
+
+    Stashed on the immutable cycle, which enumerated systems share.
+    """
+    text = cycle.__dict__.get("_compact")
+    if text is None:
+        text = ",".join([f'{{"pair":[{_int(p.m)},{_int(p.n)}],"f":{_int(f)}}}'
+                         for p, f in zip(cycle.pairs, cycle.dets)])
+        text = cycle.__dict__["_compact"] = f"[{text}]"
+    return text
+
+
 def serialize_compact(system: WeightSystem) -> str:
-    """Single-line serialization used for streaming enumeration output."""
-    return json.dumps(to_document(system), separators=(",", ":"))
+    """Single-line serialization used for streaming enumeration output.
+
+    Written directly, without a document dictionary; the text equals
+    ``json.dumps(to_document(system), separators=(",", ":"))`` whenever no
+    pair or Seifert entry is a bool (``WeightSystem`` itself stores plain
+    ints).
+    """
+    b1, b2 = system.obstruction
+    circles = ",".join([f"[{_int(p.m)},{_int(p.n)}]" for p in system.circle_boundaries])
+    cycles = ",".join([_compact_cycle(c) for c in system.fixed_cycles])
+    exceptional = ",".join([f'{{"alpha":{_int(e.alpha)},"gamma1":{_int(e.gamma1)},'
+                            f'"gamma2":{_int(e.gamma2)}}}' for e in system.exceptional])
+    return (f'{{"schema_version":"{SCHEMA_VERSION}","obstruction":[{_int(b1)},{_int(b2)}],'
+            f'"orientation":{_int(system.orientation)},"genus":{_int(system.genus)},'
+            f'"circle_boundaries":[{circles}],"fixed_cycles":[{cycles}],'
+            f'"exceptional":[{exceptional}]}}')
 
 
 def _need(doc: dict, key: str):

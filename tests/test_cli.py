@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, diagnostics and output formats."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -323,6 +324,34 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--max-genus", "-2")
         assert code == 2
 
+    def test_stream_at_the_benchmark_bounds_is_pinned(self, capsys):
+        # The bounds of the benchmark's enumerate workload; the digest was
+        # taken from the json.dumps writer that the direct one replaced.
+        code, out, err = run(capsys, "enumerate", "--max-genus", "1", "--max-cycles", "2",
+                             "--max-cycle-length", "3", "--max-weight-entry", "2",
+                             "--max-exceptional", "1", "--max-alpha", "2",
+                             "--max-circle-boundaries", "0", "--max-obstruction", "1")
+        assert (code, err) == (0, "21344 systems\n")
+        assert out.count("\n") == 21344
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "1cecc6e023527b8f12bdea94bb4f453ca68439ab4ee0cc9d2970c6592386fe07"
+
+    def test_reader_closing_the_pipe_ends_cleanly(self):
+        # As in `t2orbits enumerate ... | head -1`: the census has about 3M
+        # lines, so the writer is still running when its reader goes away.
+        src = str(Path(t2orbits.__file__).parent.parent)
+        with subprocess.Popen(
+                [sys.executable, "-m", "t2orbits.cli", "enumerate", "--max-cycles", "2",
+                 "--max-cycle-length", "4", "--max-weight-entry", "3"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src}) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert validate(parse(first.decode())).is_legal
+        assert (code, err) == (0, b"")
+
 
 class TestEdgeCases:
     def test_decompose_manifold_only_manifest(self, tmp_path, capsys):
@@ -469,6 +498,37 @@ param_weights = st.one_of(
 ).map(lambda ws: [str(w) for w in ws])
 
 
+# Enumeration bounds as the command line takes them: -2..2, non-integers,
+# 5,000-digit integers (past the int/str limit), or the option left out.  The
+# bounds that multiply the census size stop at 1, so that every run takes a
+# few milliseconds.
+def bound_text(top):
+    return st.one_of(st.integers(-2, top).map(str),
+                     st.sampled_from(("1.5", "-0.5", "two", "", "0x1", "1e3")),
+                     st.builds(lambda sign, digit: sign + digit * 5000,
+                               st.sampled_from(("", "-")), st.sampled_from("19")))
+
+
+def nonnegative_text(top):
+    return st.integers(0, top).map(str)
+
+
+ENUMERATE_OPTIONS = (("--max-genus", 2), ("--max-cycles", 2), ("--max-cycle-length", 2),
+                     ("--max-weight-entry", 1), ("--max-exceptional", 1), ("--max-alpha", 2),
+                     ("--max-circle-boundaries", 1), ("--max-obstruction", 2))
+
+
+def enumerate_argv(values):
+    return st.tuples(*(st.one_of(st.none(), values(top)) for _, top in ENUMERATE_OPTIONS)).map(
+        lambda drawn: ["enumerate"] + [
+            part for (option, _), value in zip(ENUMERATE_OPTIONS, drawn) if value is not None
+            for part in (option, value)])
+
+
+# Half of the draws have only nonnegative bounds, most of which enumerate.
+enumerate_argvs = st.one_of(enumerate_argv(nonnegative_text), enumerate_argv(bound_text))
+
+
 class TestExitCodeContract:
     @staticmethod
     def call(argv) -> int:
@@ -506,3 +566,12 @@ class TestExitCodeContract:
                          ["generate", "suspension", first, second],
                          ["generate", "weighted-projective", *weights]):
                 assert self.call(argv) in (0, 1, 2, 3), argv
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(enumerate_argvs)
+    def test_enumerate_gets_a_contract_exit_code(self, argv):
+        try:
+            code = self.call(argv)
+        except SystemExit as stop:  # argparse's usage error: a bound is no integer
+            code = stop.code
+        assert code in (0, 1, 2, 3), argv

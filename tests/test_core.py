@@ -1,5 +1,7 @@
 """Domain types, orbit classification and the legality validator."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -107,6 +109,46 @@ class TestFixedCycle:
             FixedCycle((), ())
         with pytest.raises(ValueError):
             FixedCycle((IsotropyPair(1, 0),), (1, 2))
+
+
+class TestWeightSystem:
+    def test_defaults_and_positional_order(self):
+        c = FixedCycle.from_pairs([(1, 0), (0, 1)])
+        e = ExceptionalOrbit(2, 1, 0)
+        w = WeightSystem((0, 0), -1, 2, (IsotropyPair(1, 0),), (c,), (e,))
+        assert (w.obstruction, w.orientation, w.genus, w.circle_boundaries,
+                w.fixed_cycles, w.exceptional) == ((0, 0), -1, 2, (IsotropyPair(1, 0),),
+                                                   (c,), (e,))
+        assert w == WeightSystem(orientation=-1, genus=2, circle_boundaries=[(1, 0)],
+                                 fixed_cycles=[c], exceptional=[e])
+        d = WeightSystem()
+        assert (d.obstruction, d.orientation, d.genus, d.circle_boundaries,
+                d.fixed_cycles, d.exceptional) == ((0, 0), 1, 0, (), (), ())
+
+    def test_coerces_to_plain_ints_and_tuples(self):
+        w = WeightSystem(obstruction=[True, 3], orientation=True, genus=False,
+                         circle_boundaries=(p for p in [(1, 0), IsotropyPair(0, 1)]),
+                         fixed_cycles=[], exceptional=iter(()))
+        assert w.obstruction == (1, 3) and type(w.obstruction) is tuple
+        assert [type(v) for v in (*w.obstruction, w.orientation, w.genus)] == [int] * 4
+        assert w.circle_boundaries == (IsotropyPair(1, 0), IsotropyPair(0, 1))
+        assert (w.fixed_cycles, w.exceptional) == ((), ())
+        # A generator of pairs is read once, not consumed by the type check.
+        gen = WeightSystem(circle_boundaries=(IsotropyPair(1, 0) for _ in range(2)))
+        assert gen.circle_boundaries == (IsotropyPair(1, 0),) * 2
+
+    def test_value_semantics(self):
+        w = suspension_of_lens((1, 0), (2, 5))
+        again = WeightSystem(fixed_cycles=w.fixed_cycles)
+        assert w == again and hash(w) == hash(again)
+        assert repr(WeightSystem()) == (
+            "WeightSystem(obstruction=(0, 0), orientation=1, genus=0, "
+            "circle_boundaries=(), fixed_cycles=(), exceptional=())")
+        moved = dataclasses.replace(w, genus=2, circle_boundaries=[(0, 1)])
+        assert (moved.genus, moved.circle_boundaries) == (2, (IsotropyPair(0, 1),))
+        assert moved.fixed_cycles is w.fixed_cycles
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.genus = 1
 
 
 def _rules(system):
