@@ -14,6 +14,7 @@ codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -181,16 +182,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     try:
-        bounds = EnumerationBounds(
-            max_genus=args.max_genus,
-            max_cycles=args.max_cycles,
-            max_cycle_length=args.max_cycle_length,
-            max_weight_entry=args.max_weight_entry,
-            max_exceptional=args.max_exceptional,
-            max_alpha=args.max_alpha,
-            max_circle_boundaries=args.max_circle_boundaries,
-            max_obstruction=args.max_obstruction,
-        )
+        bounds = EnumerationBounds(**{f.name: getattr(args, f.name)
+                                      for f in dataclasses.fields(EnumerationBounds)})
     except WeightSystemError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ILLEGAL
@@ -258,14 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("enumerate", help="stream the census within bounds")
-    p.add_argument("--max-genus", type=int, default=0)
-    p.add_argument("--max-cycles", type=int, default=0)
-    p.add_argument("--max-cycle-length", type=int, default=2)
-    p.add_argument("--max-weight-entry", type=int, default=1)
-    p.add_argument("--max-exceptional", type=int, default=0)
-    p.add_argument("--max-alpha", type=int, default=2)
-    p.add_argument("--max-circle-boundaries", type=int, default=0)
-    p.add_argument("--max-obstruction", type=int, default=0)
+    for f in dataclasses.fields(EnumerationBounds):
+        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     p.set_defaults(handler=_cmd_enumerate)
 
     return parser

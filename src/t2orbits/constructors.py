@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .core import (
@@ -63,13 +63,13 @@ def weighted_projective(r1: int, r2: int, r3: int,
                         orientation: int = 1) -> WeightSystem:
     """Weight system of the torus action on a weighted projective space.
 
-    Finds coprime pairs (m_i, n_i) with
+    Builds coprime pairs (m_i, n_i) with
 
-        det(P1, P2) = r2,   det(P2, P3) = -r3,   det(P3, P1) = r1,
+        det(P1, P2) = r2,   det(P2, P3) = -r3,   det(P3, P1) = r1
 
-    seeded with P1 = (1, 0), P2 solving the first equation by Bezout, and P3
-    solved from the remaining two; the scan order is fixed, so the output is
-    deterministic.  Requires r1, r2, r3 positive and pairwise coprime, else
+    in closed form: P1 = (1, 0), P2 = (m2, r2) with the least nonnegative m2
+    that makes the remaining equations solvable, and P3 solved from them.
+    Requires r1, r2, r3 positive and pairwise coprime, else
     :class:`IllegalParameters`.
     """
     rs = (r1, r2, r3)
@@ -90,6 +90,9 @@ def weighted_projective(r1: int, r2: int, r3: int,
     m3 = (r3 - m2 * r1) // r2
     p3 = IsotropyPair(m3, -r1)
 
+    # A guard no input in the domain reaches: the determinants hold by
+    # construction, gcd(r2, r3) = 1 gives gcd(m2, r2) = 1 (m2*r1 = r3 mod r2),
+    # and m3*r2 = r3 - m2*r1 gives gcd(m3, r1) | gcd(r1, r3) = 1.
     cycle = FixedCycle((p1, p2, p3), (r2, -r3, r1))
     if cycle.dets != cycle.recomputed_dets() or not all(
             p.is_coprime() for p in cycle.pairs):
@@ -118,10 +121,7 @@ class EnumerationBounds:
     max_obstruction: int = 0
 
     def __post_init__(self):
-        values = (self.max_genus, self.max_cycles, self.max_cycle_length,
-                  self.max_weight_entry, self.max_exceptional, self.max_alpha,
-                  self.max_circle_boundaries, self.max_obstruction)
-        if any(v < 0 for v in values):
+        if any(getattr(self, f.name) < 0 for f in fields(self)):
             raise IllegalParameters(f"bounds must be nonnegative: {self}")
         if self.max_cycles > 0 and self.max_cycle_length < 2:
             raise IllegalParameters("cycles need max_cycle_length >= 2")
@@ -231,13 +231,6 @@ def enumerate_legal(bounds: EnumerationBounds) -> Iterator[WeightSystem]:
                 for circ in circle_choices:
                     for size in range(bounds.max_cycles + 1):
                         for cyc in itertools.combinations_with_replacement(cycles, size):
-                            if circ or cyc:
-                                yield WeightSystem(
-                                    orientation=orientation, genus=genus,
-                                    circle_boundaries=circ, fixed_cycles=cyc,
-                                    exceptional=exc)
-                            else:
-                                for b in obstruction_box:
-                                    yield WeightSystem(
-                                        obstruction=b, orientation=orientation,
-                                        genus=genus, exceptional=exc)
+                            # Only a closed system carries an obstruction.
+                            for b in obstruction_box if not (circ or cyc) else ((0, 0),):
+                                yield WeightSystem(b, orientation, genus, circ, cyc, exc)

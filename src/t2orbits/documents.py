@@ -43,19 +43,23 @@ _TOP_KEYS = ("schema_version", "obstruction", "orientation", "genus",
 
 
 def to_document(system: WeightSystem) -> dict:
-    """The document dictionary for a weight system, with fixed key order."""
+    """The document dictionary for a weight system, with fixed key order.
+
+    Pair and Seifert entries go through ``int()``, so a bool held by an
+    :class:`IsotropyPair` or :class:`ExceptionalOrbit` is written as a number.
+    """
     return {
         "schema_version": SCHEMA_VERSION,
         "obstruction": list(system.obstruction),
         "orientation": system.orientation,
         "genus": system.genus,
-        "circle_boundaries": [[p.m, p.n] for p in system.circle_boundaries],
+        "circle_boundaries": [[int(p.m), int(p.n)] for p in system.circle_boundaries],
         "fixed_cycles": [
-            [{"pair": [p.m, p.n], "f": f} for p, f in cycle.entries()]
+            [{"pair": [int(p.m), int(p.n)], "f": f} for p, f in cycle.entries()]
             for cycle in system.fixed_cycles
         ],
         "exceptional": [
-            {"alpha": e.alpha, "gamma1": e.gamma1, "gamma2": e.gamma2}
+            {"alpha": int(e.alpha), "gamma1": int(e.gamma1), "gamma2": int(e.gamma2)}
             for e in system.exceptional
         ],
     }
@@ -65,6 +69,20 @@ def _inline(value) -> str:
     return json.dumps(value, separators=(", ", ": "))
 
 
+def _holds_object(value) -> bool:
+    return isinstance(value, dict) or (
+        isinstance(value, list) and any(map(_holds_object, value)))
+
+
+def _layout(value, indent: int) -> str:
+    """A list that holds objects gets one line per element; the rest is inline."""
+    if not (isinstance(value, list) and _holds_object(value)):
+        return _inline(value)
+    pad = " " * indent
+    lines = ",\n".join(f"{pad}  {_layout(v, indent + 2)}" for v in value)
+    return f"[\n{lines}\n{pad}]"
+
+
 def serialize(system: WeightSystem) -> str:
     """Multi-line canonical serialization, trailing newline included.
 
@@ -72,34 +90,9 @@ def serialize(system: WeightSystem) -> str:
     pairs inline), so serializing a parsed document reproduces it byte for
     byte; the output is ordinary JSON either way.
     """
-    doc = to_document(system)
-    out = ["{"]
-    out.append(f'  "schema_version": {_inline(doc["schema_version"])},')
-    out.append(f'  "obstruction": {_inline(doc["obstruction"])},')
-    out.append(f'  "orientation": {doc["orientation"]},')
-    out.append(f'  "genus": {doc["genus"]},')
-    out.append(f'  "circle_boundaries": {_inline(doc["circle_boundaries"])},')
-    if doc["fixed_cycles"]:
-        out.append('  "fixed_cycles": [')
-        for l, cycle in enumerate(doc["fixed_cycles"]):
-            out.append("    [")
-            for w, entry in enumerate(cycle):
-                comma = "," if w + 1 < len(cycle) else ""
-                out.append(f"      {_inline(entry)}{comma}")
-            out.append("    ]" + ("," if l + 1 < len(doc["fixed_cycles"]) else ""))
-        out.append("  ],")
-    else:
-        out.append('  "fixed_cycles": [],')
-    if doc["exceptional"]:
-        out.append('  "exceptional": [')
-        for j, entry in enumerate(doc["exceptional"]):
-            comma = "," if j + 1 < len(doc["exceptional"]) else ""
-            out.append(f"    {_inline(entry)}{comma}")
-        out.append("  ]")
-    else:
-        out.append('  "exceptional": []')
-    out.append("}")
-    return "\n".join(out) + "\n"
+    fields = ",\n".join(f'  "{key}": {_layout(value, 2)}'
+                         for key, value in to_document(system).items())
+    return f"{{\n{fields}\n}}\n"
 
 
 _int = int.__repr__  # how json.dumps writes an int; ValueError past the limit
@@ -122,9 +115,7 @@ def serialize_compact(system: WeightSystem) -> str:
     """Single-line serialization used for streaming enumeration output.
 
     Written directly, without a document dictionary; the text equals
-    ``json.dumps(to_document(system), separators=(",", ":"))`` whenever no
-    pair or Seifert entry is a bool (``WeightSystem`` itself stores plain
-    ints).
+    ``json.dumps(to_document(system), separators=(",", ":"))``.
     """
     b1, b2 = system.obstruction
     circles = ",".join([f"[{_int(p.m)},{_int(p.n)}]" for p in system.circle_boundaries])

@@ -57,7 +57,7 @@ class IllegalJunction(WeightSystemError):
 
 
 class NoSolutionInBound(WeightSystemError):
-    """The bounded search of a constructor exhausted its range."""
+    """A constructor found no solution for parameters in its domain."""
 
 
 class IllegalParameters(WeightSystemError):

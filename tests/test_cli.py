@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, diagnostics and output formats."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,11 +13,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import t2orbits
 from t2orbits import (
     DocumentError,
+    EnumerationBounds,
     FixedCycle,
     IsotropyPair,
     LensClass,
@@ -319,6 +322,19 @@ class TestEnumerate:
         assert f"{len(lines)} systems" in err
         for line in lines:
             assert validate(parse(line)).is_legal
+
+    def test_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["enumerate"])
+        for field in dataclasses.fields(EnumerationBounds):
+            assert getattr(args, field.name) == field.default, field.name
+
+    def test_help_lists_one_max_flag_per_bound(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["enumerate", "--help"])
+        assert done.value.code == 0
+        listed = re.findall(r"^  (--max-[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert listed == ["--" + f.name.replace("_", "-")
+                          for f in dataclasses.fields(EnumerationBounds)]
 
     def test_bad_bounds(self, capsys):
         code, _, err = run(capsys, "enumerate", "--max-genus", "-2")

@@ -94,10 +94,13 @@ class TestWeightedProjective:
             WeightSystem(fixed_cycles=(expected,)))
 
     def test_determinant_equations_by_substitution(self):
-        # oracle: plug the emitted pairs into the three defining equations
-        for r1, r2, r3 in [(1, 1, 1), (1, 2, 3), (2, 3, 5), (3, 4, 7),
-                           (5, 7, 9), (1, 1, 8)]:
+        # oracle: plug the emitted pairs into the three defining equations,
+        # for every pairwise coprime positive triple with entries up to 30
+        triples = [rs for rs in itertools.product(range(1, 31), repeat=3)
+                   if all(math.gcd(a, b) == 1 for a, b in itertools.combinations(rs, 2))]
+        for r1, r2, r3 in triples:
             w = weighted_projective(r1, r2, r3)
+            assert w.fixed_cycles[0].dets == (r2, -r3, r1)
             (p1, p2, p3) = w.fixed_cycles[0].pairs
             assert p1.m * p2.n - p2.m * p1.n == r2
             assert p2.m * p3.n - p3.m * p2.n == -r3

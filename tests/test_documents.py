@@ -132,6 +132,14 @@ class TestCompactIsJsonDumps:
         assert serialize_compact(w) == expected
         assert parse(serialize_compact(w)) == w
 
+    def test_bool_entries_are_written_as_numbers(self):
+        w = WeightSystem(circle_boundaries=(IsotropyPair(True, 0),),
+                         exceptional=(ExceptionalOrbit(2, True, 0),))
+        assert validate(w).is_legal
+        assert serialize_compact(w) == dumped(w)
+        for write in (serialize, serialize_compact):
+            assert parse(write(w)) == w
+
     def test_past_the_digit_limit_raises_value_error(self):
         limit = sys.get_int_max_str_digits()
         edge = 10 ** limit - 1  # the widest integer that converts
