@@ -48,11 +48,9 @@ from .equivalence import (
 from .errors import (
     DocumentError,
     IllegalDeterminant,
-    IllegalJunction,
     IllegalParameters,
     IllegalWeightSystem,
     IsotropyMismatch,
-    NoSolutionInBound,
     NotCoprime,
     NotUnimodular,
     OrientationMismatch,
@@ -80,11 +78,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalForm", "CircleSelection", "Decomposition", "DocumentError",
     "EnumerationBounds", "EquivalenceMode", "ExceptionalOrbit", "FixedCycle",
-    "GluingMatrix", "IllegalDeterminant", "IllegalJunction",
-    "IllegalParameters", "IllegalWeightSystem", "IsotropyMismatch",
-    "IsotropyPair", "LensClass", "NoSolutionInBound", "NotCoprime",
-    "NotUnimodular", "OrbitType", "OrientationMismatch", "ValidationReport",
-    "Violation", "WeightSystem", "WeightSystemError", "Witness",
+    "GluingMatrix", "IllegalDeterminant", "IllegalParameters",
+    "IllegalWeightSystem", "IsotropyMismatch", "IsotropyPair", "LensClass",
+    "NotCoprime", "NotUnimodular", "OrbitType", "OrientationMismatch",
+    "ValidationReport", "Violation", "WeightSystem", "WeightSystemError",
+    "Witness",
     "apply_basis_change", "bezout_complement", "c_connected_sum",
     "canonical_cycle", "canonical_form", "canonical_pairs",
     "classify_fixed_point", "decompose", "det_pair", "enumerate_legal",

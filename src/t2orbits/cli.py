@@ -42,10 +42,6 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load(path: str) -> WeightSystem:
-    return documents.parse(_read_text(path))
-
-
 class _Exit(Exception):
     def __init__(self, code: int):
         self.code = code
@@ -53,7 +49,7 @@ class _Exit(Exception):
 
 def _load_or_exit(path: str) -> WeightSystem:
     try:
-        return _load(path)
+        return documents.parse(_read_text(path))
     except OSError as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         raise _Exit(EXIT_PARSE)

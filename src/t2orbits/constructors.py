@@ -30,7 +30,7 @@ from .core import (
     as_pair,
 )
 from .equivalence import canonical_cycle
-from .errors import IllegalDeterminant, IllegalParameters, NoSolutionInBound, NotCoprime
+from .errors import IllegalDeterminant, IllegalParameters, NotCoprime
 
 
 def suspension_of_lens(first: PairLike, second: PairLike,
@@ -90,13 +90,11 @@ def weighted_projective(r1: int, r2: int, r3: int,
     m3 = (r3 - m2 * r1) // r2
     p3 = IsotropyPair(m3, -r1)
 
-    # A guard no input in the domain reaches: the determinants hold by
-    # construction, gcd(r2, r3) = 1 gives gcd(m2, r2) = 1 (m2*r1 = r3 mod r2),
-    # and m3*r2 = r3 - m2*r1 gives gcd(m3, r1) | gcd(r1, r3) = 1.
+    # The determinants hold by construction, gcd(r2, r3) = 1 gives
+    # gcd(m2, r2) = 1 (m2*r1 = r3 mod r2), and m3*r2 = r3 - m2*r1 gives
+    # gcd(m3, r1) | gcd(r1, r3) = 1; the tests check both on every triple
+    # up to 30.
     cycle = FixedCycle((p1, p2, p3), (r2, -r3, r1))
-    if cycle.dets != cycle.recomputed_dets() or not all(
-            p.is_coprime() for p in cycle.pairs):
-        raise NoSolutionInBound(f"no solution found for weights {rs}")
     return WeightSystem(orientation=orientation, fixed_cycles=(cycle,))
 
 

@@ -178,10 +178,6 @@ class FixedCycle:
         for w in range(r):
             yield w, self.pairs[w], self.pairs[(w + 1) % r], self.dets[w]
 
-    def recomputed_dets(self) -> tuple:
-        r = len(self.pairs)
-        return tuple(self.pairs[w].det(self.pairs[(w + 1) % r]) for w in range(r))
-
     def flat(self) -> tuple:
         """Hashable flat encoding (m, n, f per entry), the input of cycle
         canonicalization.

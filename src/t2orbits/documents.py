@@ -38,8 +38,9 @@ from .errors import DocumentError
 
 SCHEMA_VERSION = "1"
 
-_TOP_KEYS = ("schema_version", "obstruction", "orientation", "genus",
-             "circle_boundaries", "fixed_cycles", "exceptional")
+# The keys of a fixed-cycle entry and of a Seifert triple, in document order.
+_CYCLE_ENTRY = ("pair", "f")
+_SEIFERT = ("alpha", "gamma1", "gamma2")
 
 
 def to_document(system: WeightSystem) -> dict:
@@ -55,14 +56,17 @@ def to_document(system: WeightSystem) -> dict:
         "genus": system.genus,
         "circle_boundaries": [[int(p.m), int(p.n)] for p in system.circle_boundaries],
         "fixed_cycles": [
-            [{"pair": [int(p.m), int(p.n)], "f": f} for p, f in cycle.entries()]
+            [dict(zip(_CYCLE_ENTRY, ([int(p.m), int(p.n)], f))) for p, f in cycle.entries()]
             for cycle in system.fixed_cycles
         ],
         "exceptional": [
-            {"alpha": int(e.alpha), "gamma1": int(e.gamma1), "gamma2": int(e.gamma2)}
+            dict(zip(_SEIFERT, (int(e.alpha), int(e.gamma1), int(e.gamma2))))
             for e in system.exceptional
         ],
     }
+
+
+_TOP_KEYS = frozenset(to_document(WeightSystem()))
 
 
 def _inline(value) -> str:
@@ -134,17 +138,34 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
-def _as_int(value, where: str) -> int:
+def _need_list(doc: dict, key: str) -> list:
+    value = _need(doc, key)
+    if not isinstance(value, list):
+        raise DocumentError(f"{key} must be a list")
+    return value
+
+
+def _need_keys(value, keys: tuple, where: str) -> None:
+    if not isinstance(value, dict) or value.keys() != {*keys}:
+        raise DocumentError(f"{where} must be an object with keys {', '.join(keys)}")
+
+
+# A value's location is ``where``, or ``where.key`` when it is the ``key`` of
+# the object at ``where``; the two are joined only for a message.
+
+def _as_int(value, where: str, key: str = "") -> int:
     # bool is an int subclass; a document saying "true" is malformed.
     if isinstance(value, bool) or not isinstance(value, int):
+        where = f"{where}.{key}" if key else where
         raise DocumentError(f"{where} must be an integer, got {value!r}")
     return value
 
 
-def _as_int_pair(value, where: str) -> tuple:
+def _as_int_pair(value, where: str, key: str = "") -> tuple:
     if not isinstance(value, list) or len(value) != 2:
+        where = f"{where}.{key}" if key else where
         raise DocumentError(f"{where} must be a pair of integers, got {value!r}")
-    return (_as_int(value[0], where), _as_int(value[1], where))
+    return (_as_int(value[0], where, key), _as_int(value[1], where, key))
 
 
 def from_document(doc) -> WeightSystem:
@@ -155,7 +176,7 @@ def from_document(doc) -> WeightSystem:
     """
     if not isinstance(doc, dict):
         raise DocumentError(f"document must be an object, got {type(doc).__name__}")
-    unknown = set(doc) - set(_TOP_KEYS)
+    unknown = doc.keys() - _TOP_KEYS
     if unknown:
         raise DocumentError(f"unknown keys {sorted(unknown)}")
     version = _need(doc, "schema_version")
@@ -166,17 +187,11 @@ def from_document(doc) -> WeightSystem:
     orientation = _as_int(_need(doc, "orientation"), "orientation")
     genus = _as_int(_need(doc, "genus"), "genus")
 
-    raw_circles = _need(doc, "circle_boundaries")
-    if not isinstance(raw_circles, list):
-        raise DocumentError("circle_boundaries must be a list")
     circles = tuple(IsotropyPair(*_as_int_pair(p, f"circle_boundaries[{i}]"))
-                    for i, p in enumerate(raw_circles))
+                    for i, p in enumerate(_need_list(doc, "circle_boundaries")))
 
-    raw_cycles = _need(doc, "fixed_cycles")
-    if not isinstance(raw_cycles, list):
-        raise DocumentError("fixed_cycles must be a list")
     cycles = []
-    for l, raw in enumerate(raw_cycles):
+    for l, raw in enumerate(_need_list(doc, "fixed_cycles")):
         where = f"fixed_cycles[{l}]"
         if not isinstance(raw, list) or not raw:
             raise DocumentError(f"{where} must be a non-empty list of entries")
@@ -184,35 +199,19 @@ def from_document(doc) -> WeightSystem:
         dets = []
         for w, entry in enumerate(raw):
             spot = f"{where}[{w}]"
-            if not isinstance(entry, dict) or set(entry) != {"pair", "f"}:
-                raise DocumentError(f"{spot} must be an object with keys pair, f")
-            pairs.append(IsotropyPair(*_as_int_pair(entry["pair"], f"{spot}.pair")))
-            dets.append(_as_int(entry["f"], f"{spot}.f"))
+            _need_keys(entry, _CYCLE_ENTRY, spot)
+            pairs.append(IsotropyPair(*_as_int_pair(entry["pair"], spot, "pair")))
+            dets.append(_as_int(entry["f"], spot, "f"))
         cycles.append(FixedCycle(tuple(pairs), tuple(dets)))
 
-    raw_exc = _need(doc, "exceptional")
-    if not isinstance(raw_exc, list):
-        raise DocumentError("exceptional must be a list")
     exceptional = []
-    for j, entry in enumerate(raw_exc):
+    for j, entry in enumerate(_need_list(doc, "exceptional")):
         where = f"exceptional[{j}]"
-        if not isinstance(entry, dict) or set(entry) != {"alpha", "gamma1", "gamma2"}:
-            raise DocumentError(
-                f"{where} must be an object with keys alpha, gamma1, gamma2")
-        exceptional.append(ExceptionalOrbit(
-            _as_int(entry["alpha"], f"{where}.alpha"),
-            _as_int(entry["gamma1"], f"{where}.gamma1"),
-            _as_int(entry["gamma2"], f"{where}.gamma2"),
-        ))
+        _need_keys(entry, _SEIFERT, where)
+        exceptional.append(ExceptionalOrbit(*[_as_int(entry[k], where, k) for k in _SEIFERT]))
 
-    return WeightSystem(
-        obstruction=obstruction,
-        orientation=orientation,
-        genus=genus,
-        circle_boundaries=circles,
-        fixed_cycles=tuple(cycles),
-        exceptional=tuple(exceptional),
-    )
+    return WeightSystem(obstruction, orientation, genus, circles, tuple(cycles),
+                        tuple(exceptional))
 
 
 def parse(text: str) -> WeightSystem:

@@ -46,20 +46,6 @@ class OrientationMismatch(WeightSystemError):
     """Connected-sum operands carrying opposite orientations."""
 
 
-class IllegalJunction(WeightSystemError):
-    """A splice produced a zero determinant at a junction of two cycles.
-
-    Kept as public API; no current path raises it.  ``c_connected_sum``
-    splices two cycles only at arcs naming one subgroup, and then both
-    junction determinants are, up to sign, stored determinants of the legal
-    operands, which are nonzero.
-    """
-
-
-class NoSolutionInBound(WeightSystemError):
-    """A constructor found no solution for parameters in its domain."""
-
-
 class IllegalParameters(WeightSystemError):
     """Constructor parameters outside the documented domain."""
 

@@ -12,8 +12,11 @@ yields the lens space L(r, s) with
 
 and the congruences m*s = m', n*s = n' (mod r) pin s independently of the
 Bezout choice: replacing (p, q) by (p + t*m, q + t*n) shifts s by t*r.
-L(r, s1) and L(r, s2) are homeomorphic iff s1 = +-s2 (mod r), which is the
-equivalence implemented here.
+The equivalence implemented here is s1 = +-s2 (mod r): the homeomorphism
+criterion for L(r, s1) and L(r, s2) when the two solid tori keep their
+labels.  Classically (Reidemeister 1935; Brody 1960) the lens spaces are
+homeomorphic iff s1 = +-s2^(+-1) (mod r), since exchanging the solid tori
+inverts s.
 
 Everything is exact integer arithmetic on immutable values.
 """
@@ -83,11 +86,13 @@ class LensClass:
 
 
 def lens_equivalent(a: LensClass, b: LensClass) -> bool:
-    """Homeomorphism test: equal r and s1 = +-s2 (mod r).
+    """Equal r and s1 = +-s2 (mod r): homeomorphism with the two solid tori
+    keeping their labels.
 
-    Note this is the criterion the boundary-gluing construction needs for
-    well-definedness; it does not add the classical inverse case
-    s1*s2 = +-1 (mod r).
+    This is the criterion the boundary-gluing construction needs for
+    well-definedness.  It leaves out the classical inverse case
+    s1*s2 = +-1 (mod r), in which the lens spaces are homeomorphic by a map
+    that exchanges the solid tori.
     """
     if a.r != b.r:
         return False

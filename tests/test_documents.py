@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import sys
 
 import pytest
@@ -167,6 +168,12 @@ class TestCompactIsJsonDumps:
         assert serialize_compact(w) == dumped(w)
 
 
+def rejected_with(doc, message: str) -> None:
+    """``from_document(doc)`` raises DocumentError with exactly ``message``."""
+    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+        from_document(doc)
+
+
 class TestSchemaChecking:
     def good(self):
         return to_document(suspension_of_lens((1, 0), (2, 5)))
@@ -188,14 +195,19 @@ class TestSchemaChecking:
     def test_missing_key(self):
         doc = self.good()
         del doc["genus"]
-        with pytest.raises(DocumentError):
-            from_document(doc)
+        rejected_with(doc, "missing key 'genus'")
 
     def test_unknown_key(self):
         doc = self.good()
         doc["extra"] = 1
-        with pytest.raises(DocumentError):
-            from_document(doc)
+        rejected_with(doc, "unknown keys ['extra']")
+
+    @pytest.mark.parametrize("key", ["circle_boundaries", "fixed_cycles", "exceptional"])
+    def test_component_lists_must_be_lists(self, key):
+        for value in ({}, "[]", None, 0):
+            doc = self.good()
+            doc[key] = value
+            rejected_with(doc, f"{key} must be a list")
 
     def test_bad_schema_version(self):
         doc = self.good()
@@ -237,20 +249,16 @@ class TestSchemaChecking:
             from_document(doc)
 
     def test_cycle_entry_shape(self):
-        doc = self.good()
-        doc["fixed_cycles"][0][0] = {"pair": [1, 0]}
-        with pytest.raises(DocumentError):
-            from_document(doc)
-        doc = self.good()
-        doc["fixed_cycles"][0][0] = {"pair": [1, 0], "f": 5, "x": 1}
-        with pytest.raises(DocumentError):
-            from_document(doc)
+        for entry in ({"pair": [1, 0]}, {"pair": [1, 0], "f": 5, "x": 1}, [[1, 0], 5]):
+            doc = self.good()
+            doc["fixed_cycles"][0][0] = entry
+            rejected_with(doc, "fixed_cycles[0][0] must be an object with keys pair, f")
 
     def test_exceptional_shape(self):
-        doc = self.good()
-        doc["exceptional"] = [{"alpha": 2, "gamma1": 1}]
-        with pytest.raises(DocumentError):
-            from_document(doc)
+        for entry in ({"alpha": 2, "gamma1": 1}, [2, 1, 0]):
+            doc = self.good()
+            doc["exceptional"] = [entry]
+            rejected_with(doc, "exceptional[0] must be an object with keys alpha, gamma1, gamma2")
 
     def test_parse_accepts_any_valid_json_layout(self):
         w = suspension_of_lens((1, 0), (2, 5))

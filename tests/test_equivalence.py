@@ -290,6 +290,14 @@ class TestStrictCanonicalForm:
         with pytest.raises(IllegalWeightSystem):
             canonical_form(bad)
 
+    def test_forms_sort_as_their_keys(self):
+        bounds = EnumerationBounds(max_genus=1, max_cycles=2, max_cycle_length=3,
+                                   max_weight_entry=2, max_exceptional=1,
+                                   max_circle_boundaries=1, max_obstruction=1)
+        forms = [canonical_form(w) for w in itertools.islice(enumerate_legal(bounds), 3000)]
+        assert len({f.key for f in forms}) > 100
+        assert [f.key for f in sorted(forms)] == sorted(f.key for f in forms)
+
     def test_orientation_and_obstruction_kept_verbatim(self):
         a = WeightSystem(obstruction=(1, 2))
         b = WeightSystem(obstruction=(2, 1))

@@ -97,6 +97,14 @@ class TestLensClass:
         assert not lens_equivalent(LensClass(5, 2), LensClass(7, 2))
         assert lens_equivalent(LensClass(1, 0), LensClass(1, 0))
         assert not lens_equivalent(LensClass(7, 2), LensClass(7, 3))
+        # one fixed point read from either side: L(7, 2) and L(7, 4) are
+        # homeomorphic (2*4 = 1 mod 7) by exchanging the solid tori, which
+        # the labelled criterion +-s does not allow
+        one_side = space_of_directions((1, 0), (2, 7))
+        other_side = space_of_directions((2, 7), (1, 0))
+        assert (one_side, other_side) == (LensClass(7, 2), LensClass(7, 4))
+        assert not lens_equivalent(one_side, other_side)
+        assert (one_side.s * other_side.s) % 7 == 1
 
 
 class TestSpaceOfDirections:
