@@ -153,6 +153,9 @@ def canonical_cycle(cycle: FixedCycle) -> FixedCycle:
     equal cycles-up-to-presentation.  Idempotent, and repeat calls on the
     same instance return the same object.
     """
+    # The _canonical stash is kept beside _ckey: a canonical input (every
+    # pool and census cycle is one) comes back as the same instance, so the
+    # piece that decompose builds keeps its _violations, _ckey and _compact.
     canonical = cycle.__dict__.get("_canonical")
     if canonical is None:
         key = _cycle_key(cycle)
@@ -258,20 +261,14 @@ def reverse_orientation(system: WeightSystem) -> WeightSystem:
     sign flip) and conjugates every Seifert triple by gamma -> alpha - gamma
     (mod alpha).  An involution up to presentation.
     """
-
-    def rev(cycle: FixedCycle) -> FixedCycle:
-        r = len(cycle)
-        pairs = tuple(reversed(cycle.pairs))
-        dets = tuple(-cycle.dets[r - 2 - j] if j < r - 1 else -cycle.dets[r - 1]
-                     for j in range(r))
-        return FixedCycle(pairs, dets)
-
     b1, b2 = system.obstruction
     return replace(
         system,
         obstruction=(-b1, -b2),
         orientation=-system.orientation,
-        fixed_cycles=tuple(rev(c) for c in system.fixed_cycles),
+        fixed_cycles=tuple(
+            FixedCycle(c.pairs[::-1], tuple(-f for f in c.dets[-2::-1] + c.dets[-1:]))
+            for c in system.fixed_cycles),
         exceptional=tuple(
             ExceptionalOrbit(e.alpha,
                              (e.alpha - e.gamma1) % e.alpha,

@@ -70,7 +70,7 @@ class Decomposition:
 
     ``gluings[k]`` pairs a selection into ``manifold_part`` (as presented
     here, before any sums are folded) with a selection into
-    ``simple_pieces[k]``.
+    ``simple_pieces[k]``; unequal lengths raise ValueError.
     """
 
     manifold_part: WeightSystem
@@ -80,6 +80,9 @@ class Decomposition:
     def __post_init__(self):
         object.__setattr__(self, "simple_pieces", tuple(self.simple_pieces))
         object.__setattr__(self, "gluings", tuple(self.gluings))
+        if len(self.simple_pieces) != len(self.gluings):
+            raise ValueError(f"{len(self.simple_pieces)} simple pieces but "
+                             f"{len(self.gluings)} gluings")
 
 
 def is_simple(system: WeightSystem) -> bool:
@@ -119,42 +122,16 @@ def c_connected_sum(first: WeightSystem, first_selection: CircleSelection,
 
     Both systems must be legal, carry the same orientation
     (:class:`OrientationMismatch` otherwise) and have equal isotropy
-    subgroups at the selections (:class:`IsotropyMismatch`).  Genus and
-    obstruction add, exceptional orbits unite, unselected boundary
-    components carry over, and the selected components merge as described in
-    the module docstring: a circle selected in the second system is dropped,
-    else a circle selected in the first is, else the two cycles give way to
-    their splice, appended last.  The first system's other components come
-    first, in order.
+    subgroups at the selections (:class:`IsotropyMismatch`).  This is
+    :func:`reassemble` with one gluing, ``first`` as the manifold part and
+    ``second`` as the piece, so the two follow one merge rule.
     """
     require_legal(first)
     require_legal(second)
     if first.orientation != second.orientation:
         raise OrientationMismatch(
             f"orientations {first.orientation} and {second.orientation} differ")
-    p1 = first_selection.pair_in(first)
-    p2 = second_selection.pair_in(second)
-    if not p1.same_subgroup(p2):
-        raise IsotropyMismatch(f"selected isotropies {p1} and {p2} differ")
-
-    circles1, circles2 = list(first.circle_boundaries), list(second.circle_boundaries)
-    cycles1, cycles2 = list(first.fixed_cycles), list(second.fixed_cycles)
-    if second_selection.is_circle:
-        del circles2[second_selection.circle]
-    elif first_selection.is_circle:
-        del circles1[first_selection.circle]
-    else:
-        cycles2.append(_splice(cycles1.pop(first_selection.cycle), first_selection.arc,
-                               cycles2.pop(second_selection.cycle), second_selection.arc))
-    return WeightSystem(
-        obstruction=(first.obstruction[0] + second.obstruction[0],
-                     first.obstruction[1] + second.obstruction[1]),
-        orientation=first.orientation,
-        genus=first.genus + second.genus,
-        circle_boundaries=tuple(circles1 + circles2),
-        fixed_cycles=tuple(cycles1 + cycles2),
-        exceptional=first.exceptional + second.exceptional,
-    )
+    return reassemble(Decomposition(first, (second,), ((first_selection, second_selection),)))
 
 
 def decompose(system: WeightSystem) -> Decomposition:
@@ -199,32 +176,54 @@ def decompose(system: WeightSystem) -> Decomposition:
 def reassemble(decomposition: Decomposition) -> WeightSystem:
     """Fold the connected sums of a decomposition back into one system.
 
-    Selections in ``gluings`` refer to component indices of
-    ``manifold_part`` as given.  Every sum keeps the running system's
-    components at the front, in order, and consumes a manifold component
-    exactly when the piece's selection is a cycle arc (a circle absorbed by
-    the piece's cycle, or a cycle spliced away).  So a component's current
-    index is its given index minus the number of consumed indices of its
-    kind below it.  An index past the manifold part's own components raises
-    IndexError; one consumed by an earlier gluing raises ValueError.
+    The manifold part's circles and cycles are kept as slots that
+    ``gluings`` index as given; a consumed component leaves ``None`` in its
+    slot, so indices never shift.  Each gluing merges as the module
+    docstring says (a circle selected in the piece is dropped, else one
+    selected in the manifold part, else the two cycles give way to their
+    splice) and appends the piece's other components, then any splice.  An
+    index past the manifold part's own components raises IndexError; one
+    consumed by an earlier gluing raises ValueError.  The manifold part is
+    checked legal at the first gluing and each piece at its own; a sum of
+    legal systems is legal, so no running system is checked again.
     """
-    manifold = running = decomposition.manifold_part
-    consumed = {"circle": set(), "cycle": set()}
-    for (sel, piece_sel), piece in zip(decomposition.gluings,
-                                       decomposition.simple_pieces):
+    manifold = decomposition.manifold_part
+    (b1, b2), genus, exceptional = manifold.obstruction, manifold.genus, manifold.exceptional
+    circles, cycles = list(manifold.circle_boundaries), list(manifold.fixed_cycles)
+    for k, ((sel, piece_sel), piece) in enumerate(zip(decomposition.gluings,
+                                                      decomposition.simple_pieces)):
         if sel.is_circle:
-            kind, index, count = "circle", sel.circle, manifold.circle_count
+            kind, slots, index, count = "circle", circles, sel.circle, manifold.circle_count
         else:
-            kind, index, count = "cycle", sel.cycle, manifold.cycle_count
-        used = consumed[kind]
+            kind, slots, index, count = "cycle", cycles, sel.cycle, manifold.cycle_count
         if index >= count:
             raise IndexError(f"{kind} {index} is not in the manifold part")
-        if index in used:
+        slot = slots[index]
+        if slot is None:
             raise ValueError(f"{kind} {index} was already consumed")
-        shifted = index - sum(k < index for k in used)
-        current = (CircleSelection.boundary_circle(shifted) if sel.is_circle
-                   else CircleSelection.cycle_arc(shifted, sel.arc))
-        running = c_connected_sum(running, current, piece, piece_sel)
-        if not piece_sel.is_circle:
-            used.add(index)
-    return running
+        if not k:
+            require_legal(manifold)
+        require_legal(piece)
+        if piece.orientation != manifold.orientation:
+            raise OrientationMismatch(
+                f"orientations {manifold.orientation} and {piece.orientation} differ")
+        p1 = slot if sel.is_circle else slot.pairs[sel.arc]
+        p2 = piece_sel.pair_in(piece)
+        if not p1.same_subgroup(p2):
+            raise IsotropyMismatch(f"selected isotropies {p1} and {p2} differ")
+        piece_circles, piece_cycles = list(piece.circle_boundaries), list(piece.fixed_cycles)
+        if piece_sel.is_circle:
+            del piece_circles[piece_sel.circle]
+        else:
+            if not sel.is_circle:
+                piece_cycles.append(_splice(slot, sel.arc,
+                                            piece_cycles.pop(piece_sel.cycle), piece_sel.arc))
+            slots[index] = None
+        circles += piece_circles
+        cycles += piece_cycles
+        b1, b2 = b1 + piece.obstruction[0], b2 + piece.obstruction[1]
+        genus += piece.genus
+        exceptional += piece.exceptional
+    return WeightSystem((b1, b2), manifold.orientation, genus,
+                        tuple(c for c in circles if c is not None),
+                        tuple(c for c in cycles if c is not None), exceptional)

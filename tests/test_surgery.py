@@ -1,5 +1,9 @@
 """Connected sums along circular orbits, decomposition and reassembly."""
 
+import math
+import random
+from dataclasses import replace
+
 import pytest
 
 from t2orbits import (
@@ -20,13 +24,165 @@ from t2orbits import (
     is_isomorphic,
     is_simple,
     reassemble,
+    require_legal,
     suspension_of_lens,
     validate,
     weighted_projective,
 )
+from tests.conftest import random_coprime_pair
 
 circle = CircleSelection.boundary_circle
 arc = CircleSelection.cycle_arc
+
+
+def reference_connected_sum(first, first_selection, second, second_selection):
+    """One checked connected sum as a three-way list edit: a circle selected
+    in the second system is dropped, else one selected in the first, else
+    the two cycles are popped and their splice is appended last."""
+    require_legal(first)
+    require_legal(second)
+    if first.orientation != second.orientation:
+        raise OrientationMismatch("orientations differ")
+    p1 = first_selection.pair_in(first)
+    p2 = second_selection.pair_in(second)
+    if not p1.same_subgroup(p2):
+        raise IsotropyMismatch("selected isotropies differ")
+    circles1, circles2 = list(first.circle_boundaries), list(second.circle_boundaries)
+    cycles1, cycles2 = list(first.fixed_cycles), list(second.fixed_cycles)
+    if second_selection.is_circle:
+        del circles2[second_selection.circle]
+    elif first_selection.is_circle:
+        del circles1[first_selection.circle]
+    else:
+        c1, i = cycles1.pop(first_selection.cycle), first_selection.arc
+        c2, j = cycles2.pop(second_selection.cycle), second_selection.arc
+        cycles2.append(FixedCycle.from_pairs(
+            c1.pairs[: i + 1] + c2.pairs[j + 1:] + c2.pairs[: j + 1] + c1.pairs[i + 1:]))
+    return WeightSystem(
+        obstruction=(first.obstruction[0] + second.obstruction[0],
+                     first.obstruction[1] + second.obstruction[1]),
+        orientation=first.orientation,
+        genus=first.genus + second.genus,
+        circle_boundaries=tuple(circles1 + circles2),
+        fixed_cycles=tuple(cycles1 + cycles2),
+        exceptional=first.exceptional + second.exceptional,
+    )
+
+
+def reference_reassemble(decomposition):
+    """The sequential fold: one checked connected sum per gluing on the
+    running system, each manifold index shifted down past the indices of its
+    kind that earlier gluings consumed."""
+    manifold = running = decomposition.manifold_part
+    consumed = {"circle": set(), "cycle": set()}
+    for (sel, piece_sel), piece in zip(decomposition.gluings,
+                                       decomposition.simple_pieces):
+        if sel.is_circle:
+            kind, index, count = "circle", sel.circle, manifold.circle_count
+        else:
+            kind, index, count = "cycle", sel.cycle, manifold.cycle_count
+        used = consumed[kind]
+        if index >= count:
+            raise IndexError(f"{kind} {index} is not in the manifold part")
+        if index in used:
+            raise ValueError(f"{kind} {index} was already consumed")
+        shifted = index - sum(k < index for k in used)
+        current = circle(shifted) if sel.is_circle else arc(shifted, sel.arc)
+        running = reference_connected_sum(running, current, piece, piece_sel)
+        if not piece_sel.is_circle:
+            used.add(index)
+    return running
+
+
+def _cycle_through(rng, pair, at, length):
+    """A legal cycle whose arc ``at`` carries ``pair``."""
+    while True:
+        pairs = [random_coprime_pair(rng, 4) for _ in range(length)]
+        pairs[at] = pair
+        if all(pairs[w].det(pairs[(w + 1) % length]) for w in range(length)):
+            return FixedCycle.from_pairs(pairs)
+
+
+def _random_part(rng, orientation, pair=None, select_circle=True):
+    """A small system, legal unless spoiled, and a selection of the component
+    that carries ``pair`` (or its negative); no pair, no selection."""
+    circles = [random_coprime_pair(rng, 4) for _ in range(rng.randint(0, 2))]
+    cycles = [_cycle_through(rng, random_coprime_pair(rng, 4), 0, rng.randint(2, 3))
+              for _ in range(rng.randint(0, 2))]
+    selection = None
+    if pair is not None and select_circle:
+        at = rng.randint(0, len(circles))
+        circles.insert(at, pair if rng.random() < 0.5 else pair.flipped())
+        selection = circle(at)
+    elif pair is not None:
+        length = rng.randint(2, 4)
+        j = rng.randrange(length)
+        at = rng.randint(0, len(cycles))
+        cycles.insert(at, _cycle_through(rng, pair, j, length))
+        selection = arc(at, j)
+    exceptional = ()
+    if rng.random() < 0.2:
+        alpha = rng.randint(2, 5)
+        g = rng.randrange(alpha)
+        exceptional = (ExceptionalOrbit(alpha, g, 1 if math.gcd(alpha, g) != 1 else 0),)
+    system = WeightSystem((0, 0), orientation, rng.randint(0, 2), circles, cycles, exceptional)
+    roll = rng.random()
+    if roll < 0.03:
+        system = replace(system, genus=-1)
+    elif roll < 0.05:
+        system = replace(system, obstruction=(1, 0))
+    elif roll < 0.08:
+        system = replace(system, orientation=-orientation)
+    return system, selection
+
+
+def _random_selection(rng, system):
+    """A selection into ``system``, out of range now and then."""
+    use_circle = not system.fixed_cycles or (system.circle_boundaries and rng.random() < 0.5)
+    if use_circle:
+        return circle(rng.randrange(system.circle_count + (rng.random() < 0.1)))
+    index = rng.randrange(system.cycle_count + (rng.random() < 0.1))
+    length = len(system.fixed_cycles[index]) if index < system.cycle_count else 2
+    return arc(index, rng.randrange(length + (rng.random() < 0.1)))
+
+
+def random_gluing_case(rng):
+    """A manifold part, one to four pieces and their gluings (none if the
+    manifold part has no boundary).
+
+    Most pieces carry the selected manifold isotropy (or its negative) at
+    their own selection, so most sums go through; illegal parts, flipped
+    orientations, out-of-range indices, reused components and unmatched
+    isotropies are mixed in, often several in one case.
+    """
+    orientation = rng.choice((1, -1))
+    manifold, _ = _random_part(rng, orientation)
+    pieces, gluings = [], []
+    for _ in range(rng.randint(1, 4)):
+        if not manifold.circle_count + manifold.cycle_count:
+            break
+        sel = _random_selection(rng, manifold)
+        try:
+            pair = sel.pair_in(manifold)
+        except IndexError:
+            pair = random_coprime_pair(rng, 4)
+        if rng.random() < 0.1:
+            pair = random_coprime_pair(rng, 4)
+        piece, piece_sel = _random_part(rng, orientation, pair, rng.random() < 0.4)
+        if rng.random() < 0.05:
+            piece_sel = _random_selection(rng, piece)
+        pieces.append(piece)
+        gluings.append((sel, piece_sel))
+    return Decomposition(manifold, pieces, gluings)
+
+
+def outcome(f, *args):
+    """The return value of ``f(*args)``, or the type of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, IndexError, IllegalWeightSystem, IsotropyMismatch,
+            OrientationMismatch) as e:
+        return type(e)
 
 
 class TestCircleSelection:
@@ -309,3 +465,53 @@ class TestReassemble:
         with pytest.raises(IndexError):
             reassemble(Decomposition(manifold, (piece, piece),
                                      ((circle(0), circle(0)), (circle(1), circle(1)))))
+
+    def test_unequal_lengths_raise(self):
+        # zip() used to drop what was left over: an extra piece was ignored
+        # and a gluing without a piece returned the bare manifold part.
+        d = decompose(suspension_of_lens((1, 0), (2, 5)))
+        with pytest.raises(ValueError, match="2 simple pieces but 1 gluings"):
+            Decomposition(d.manifold_part, d.simple_pieces * 2, d.gluings)
+        with pytest.raises(ValueError, match="0 simple pieces but 1 gluings"):
+            Decomposition(d.manifold_part, (), d.gluings)
+
+
+class TestFoldMatchesSequentialFold:
+    def test_random_decompositions_and_sums(self):
+        rng = random.Random(0x5107)
+        seen = {}
+        for _ in range(2000):
+            d = random_gluing_case(rng)
+            got = outcome(reassemble, d)
+            assert got == outcome(reference_reassemble, d), d
+            kind = got if isinstance(got, type) else WeightSystem
+            seen[kind] = seen.get(kind, 0) + 1
+            if d.gluings:
+                (sel, piece_sel), piece = d.gluings[0], d.simple_pieces[0]
+                args = (d.manifold_part, sel, piece, piece_sel)
+                assert outcome(c_connected_sum, *args) \
+                    == outcome(reference_connected_sum, *args), args
+        # every outcome is well represented, values most of all
+        assert seen[WeightSystem] > 700
+        for kind in (ValueError, IndexError, IllegalWeightSystem, IsotropyMismatch,
+                     OrientationMismatch):
+            assert seen[kind] >= 50, seen
+
+    def test_the_first_of_two_faults_is_raised(self):
+        legal = WeightSystem(circle_boundaries=(IsotropyPair(1, 0),),
+                             fixed_cycles=suspension_of_lens((1, 0), (2, 5)).fixed_cycles)
+        illegal = replace(legal, genus=-1)
+        flipped = replace(legal, orientation=-1)
+        # An out-of-range index at gluing 0 comes before the manifold part's
+        # legality in reassemble, after it in c_connected_sum.
+        d = Decomposition(illegal, (legal,), ((circle(1), circle(0)),))
+        assert outcome(reassemble, d) is IndexError
+        assert outcome(reference_reassemble, d) is IndexError
+        for sum_ in (c_connected_sum, reference_connected_sum):
+            assert outcome(sum_, illegal, circle(1), legal, circle(0)) is IllegalWeightSystem
+        # An orientation mismatch comes before a bad arc in both.
+        d = Decomposition(legal, (flipped,), ((arc(0, 5), arc(0, 0)),))
+        assert outcome(reassemble, d) is OrientationMismatch
+        assert outcome(reference_reassemble, d) is OrientationMismatch
+        for sum_ in (c_connected_sum, reference_connected_sum):
+            assert outcome(sum_, legal, arc(0, 5), flipped, arc(0, 0)) is OrientationMismatch
