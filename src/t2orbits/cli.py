@@ -6,7 +6,7 @@ Documents are read from a file path or from standard input when the path is
 codes are a stable contract:
 
     0  success / affirmative verdict
-    1  parse error (malformed document)
+    1  parse error, or a file that cannot be read or written
     2  illegal weight system or bad constructor parameters
     3  negative verdict (not isomorphic)
 """
@@ -53,7 +53,7 @@ def _load_or_exit(path: str) -> WeightSystem:
     except OSError as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         raise _Exit(EXIT_PARSE)
-    except DocumentError as err:
+    except (DocumentError, UnicodeDecodeError) as err:
         print(f"parse error in {path}: {err}", file=sys.stderr)
         raise _Exit(EXIT_PARSE)
 
@@ -115,15 +115,10 @@ def _cmd_decompose(args) -> int:
     system = _load_or_exit(args.file)
     _require_legal_or_exit(system, args.file)
     result = decompose(system)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "manifold.json").write_text(
-        documents.serialize(result.manifold_part), encoding="utf-8")
-    piece_names = []
+    files = {"manifold.json": documents.serialize(result.manifold_part)}
     for k, piece in enumerate(result.simple_pieces):
-        name = f"piece_{k:03d}.json"
-        (out / name).write_text(documents.serialize(piece), encoding="utf-8")
-        piece_names.append(name)
+        files[f"piece_{k:03d}.json"] = documents.serialize(piece)
+    piece_names = list(files)[1:]
     manifest = {
         "schema_version": documents.SCHEMA_VERSION,
         "manifold": "manifold.json",
@@ -142,8 +137,15 @@ def _cmd_decompose(args) -> int:
             for k, (sel_m, sel_p) in enumerate(result.gluings)
         ],
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    files["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+    except OSError as err:
+        print(f"error: cannot write {out}: {err}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"manifold + {len(piece_names)} simple piece(s) written to {out}")
     return EXIT_OK
 

@@ -151,7 +151,9 @@ def _need_keys(value, keys: tuple, where: str) -> None:
 
 
 # A value's location is ``where``, or ``where.key`` when it is the ``key`` of
-# the object at ``where``; the two are joined only for a message.
+# the object at ``where``; the two are joined only for a message.  The checks
+# of a list element pass ``where=""`` and the loop over the list prefixes the
+# element's index to the message, so no location is formatted on success.
 
 def _as_int(value, where: str, key: str = "") -> int:
     # bool is an int subclass; a document saying "true" is malformed.
@@ -187,30 +189,43 @@ def from_document(doc) -> WeightSystem:
     orientation = _as_int(_need(doc, "orientation"), "orientation")
     genus = _as_int(_need(doc, "genus"), "genus")
 
-    circles = tuple(IsotropyPair(*_as_int_pair(p, f"circle_boundaries[{i}]"))
-                    for i, p in enumerate(_need_list(doc, "circle_boundaries")))
+    circles = []
+    raw_circles = _need_list(doc, "circle_boundaries")
+    try:
+        for i, p in enumerate(raw_circles):
+            circles.append(IsotropyPair(*_as_int_pair(p, "")))
+    except DocumentError as err:
+        raise DocumentError(f"circle_boundaries[{i}]{err}") from None
 
     cycles = []
-    for l, raw in enumerate(_need_list(doc, "fixed_cycles")):
-        where = f"fixed_cycles[{l}]"
-        if not isinstance(raw, list) or not raw:
-            raise DocumentError(f"{where} must be a non-empty list of entries")
-        pairs = []
-        dets = []
-        for w, entry in enumerate(raw):
-            spot = f"{where}[{w}]"
-            _need_keys(entry, _CYCLE_ENTRY, spot)
-            pairs.append(IsotropyPair(*_as_int_pair(entry["pair"], spot, "pair")))
-            dets.append(_as_int(entry["f"], spot, "f"))
-        cycles.append(FixedCycle(tuple(pairs), tuple(dets)))
+    raw_cycles = _need_list(doc, "fixed_cycles")
+    try:
+        for l, raw in enumerate(raw_cycles):
+            if not isinstance(raw, list) or not raw:
+                raise DocumentError(" must be a non-empty list of entries")
+            pairs = []
+            dets = []
+            try:
+                for w, entry in enumerate(raw):
+                    _need_keys(entry, _CYCLE_ENTRY, "")
+                    pairs.append(IsotropyPair(*_as_int_pair(entry["pair"], "", "pair")))
+                    dets.append(_as_int(entry["f"], "", "f"))
+            except DocumentError as err:
+                raise DocumentError(f"[{w}]{err}") from None
+            cycles.append(FixedCycle(tuple(pairs), tuple(dets)))
+    except DocumentError as err:
+        raise DocumentError(f"fixed_cycles[{l}]{err}") from None
 
     exceptional = []
-    for j, entry in enumerate(_need_list(doc, "exceptional")):
-        where = f"exceptional[{j}]"
-        _need_keys(entry, _SEIFERT, where)
-        exceptional.append(ExceptionalOrbit(*[_as_int(entry[k], where, k) for k in _SEIFERT]))
+    raw_exceptional = _need_list(doc, "exceptional")
+    try:
+        for j, entry in enumerate(raw_exceptional):
+            _need_keys(entry, _SEIFERT, "")
+            exceptional.append(ExceptionalOrbit(*[_as_int(entry[k], "", k) for k in _SEIFERT]))
+    except DocumentError as err:
+        raise DocumentError(f"exceptional[{j}]{err}") from None
 
-    return WeightSystem(obstruction, orientation, genus, circles, tuple(cycles),
+    return WeightSystem(obstruction, orientation, genus, tuple(circles), tuple(cycles),
                         tuple(exceptional))
 
 

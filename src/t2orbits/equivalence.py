@@ -15,11 +15,12 @@ quotients by reparametrizations of the torus (a common unimodular basis
 change applied to every isotropy pair) and by reversing the orientation,
 which is the natural reading when the torus comes with no preferred basis.
 
-Canonicalization of one cycle is exact and costs O(r^2) in its length r:
-it follows, rotation by rotation, only the sign choices whose key prefix is
-least, which on a legal cycle forces every sign (see ``_canonical_flat``).
-The product of the signs of the determinants around a cycle is invariant
-under all flips and makes a cheap prefilter when comparing cycles by hand.
+Canonicalization of one cycle is exact: each nonzero determinant forces the
+next sign, so it makes one O(r) pass per rotation that starts at the least
+|f| and per first sign, O(r^2) at worst in the cycle length r (see
+``_canonical_flat``).  A zero determinant is rejected.  The product of the
+signs of the determinants around a cycle is invariant under all flips and
+makes a cheap prefilter when comparing cycles by hand.
 
 A WEAK decision (``weak_witness``) compares cheap invariants first: the
 genus, the number of circles, the per-cycle multisets of |f|, gcd(b1, b2)
@@ -43,7 +44,7 @@ from .core import (
     WeightSystem,
     require_legal,
 )
-from .errors import NotUnimodular
+from .errors import IllegalDeterminant, NotUnimodular
 from .localmodels import _minimal_bezout
 
 Matrix = tuple  # ((a, b), (c, d)) acting on column vectors (m, n)
@@ -63,28 +64,26 @@ def _canonical_flat(flat: tuple) -> tuple:
     """Lexicographically minimal presentation of a cycle, as entry keys.
 
     ``flat`` is (m, n, f) per entry; the result is a tuple of entry keys
-    (|f|, f, m, n), minimized over all rotations of the starting index and
-    all per-entry sign flips.  A flip of entry w negates the stored pair and
-    the determinants at w-1 and w.  Any stored values are accepted: f may be
-    0, a pair may be (0, 0), and f need not be the determinant of its pairs.
+    (|f|, f, m, n), minimized over all rotations and all per-entry sign
+    flips.  A flip of entry w negates the stored pair and the determinants
+    at w-1 and w.  A pair may be (0, 0) and f need not be the determinant of
+    its pairs, but f = 0 raises :class:`IllegalDeterminant`.
 
-    The search is exact and costs O(r^2).  Fix a rotation and signs s_0 ..
-    s_{r-1}; entry k of the key is (|f_k|, s_k s_{k+1} f_k, s_k m_k, s_k n_k)
-    with s_r = s_0, so it depends on (s_k, s_{k+1}) only.  Read the entries
-    left to right and call (s_0, s_k) the state after k entries.  Two sign
-    choices with the same state have the same set of possible futures, and
-    a choice whose prefix is larger than another's cannot lead to the
-    minimum.  So after each entry only the least prefix is kept, with every
-    state (at most four) that reaches it; ties are kept, never broken.  The
-    last entry takes s_r = s_0 from the state, and the prefix left after it
-    is the least key of the rotation.  |f| does not depend on the signs and
-    leads each entry, so only rotations starting at the least |f| are
-    tried, and a rotation is abandoned once its prefix exceeds the best key
-    found so far.  On a legal cycle (every f nonzero, every pair nonzero)
-    one state survives the first entry and each later sign is forced, the
-    one that makes the determinant negative; when f = 0 or a pair is
-    (0, 0), several states survive and are followed together, on the same
-    path.
+    Exact because each sign is forced.  Under a rotation and signs s_0 ..
+    s_{r-1}, entry k of the key is (|f_k|, s_k s_{k+1} f_k, s_k m_k, s_k n_k)
+    with s_r = s_0.
+
+    * |f| leads each entry and does not depend on the signs, so only
+      rotations that start at the least |f| are tried.
+    * Given s_k, the choice of s_{k+1} alone decides whether the second
+      component of entry k is -|f_k| or +|f_k|, and entry k comes before
+      anything else that choice affects.  So s_{k+1} = -s_k sign(f_k) for
+      k < r - 1, and the last entry is fixed by s_{r-1} and s_0.
+    * Trying both values of s_0 covers a (0, 0) pair at the start of a
+      rotation.
+
+    That is one O(r) pass per (rotation, s_0), O(r^2) at worst.  A pass is
+    abandoned once its prefix exceeds the best key so far; ties are followed.
     """
     r = len(flat) // 3
     ms = flat[0::3]
@@ -92,40 +91,32 @@ def _canonical_flat(flat: tuple) -> tuple:
     fs = flat[2::3]
     absf = [abs(f) for f in fs]
     least = min(absf, default=None)
+    if least == 0:
+        raise IllegalDeterminant("a stored determinant is 0")
+    last = r - 1
     best = None
     for rot in range(r):
         if absf[rot] != least:
             continue
-        states = ((1, 1), (-1, -1))  # (s_0, s_k) before entry k
-        key = []
-        tied = best is not None  # the prefix so far equals best's
-        for j in range(r):
-            k = rot + j
-            if k >= r:
-                k -= r
-            a = absf[k]
-            f = fs[k]
-            m = ms[k]
-            n = ns[k]
-            low = None
-            for s0, s in states:
-                for t in (1, -1) if j < r - 1 else (s0,):
-                    entry = (a, s * t * f, s * m, s * n)
-                    if low is None or entry < low:
-                        low = entry
-                        survivors = [(s0, t)]
-                    elif entry == low and (s0, t) not in survivors:
-                        survivors.append((s0, t))
-            if tied:
-                other = best[j]
-                if low > other:
-                    break
-                tied = low == other
-            key.append(low)
-            states = survivors
-        else:
-            if not tied:
-                best = tuple(key)
+        for s0 in (1, -1):
+            s = s0  # s_k at entry k
+            key = []
+            tied = best is not None  # the prefix so far equals best's
+            for j in range(r):
+                k = rot + j - r  # a negative index wraps around
+                f = fs[k]
+                t = s0 if j == last else (-s if f > 0 else s)  # s_{k+1}
+                entry = (absf[k], s * t * f, s * ms[k], s * ns[k])
+                if tied:
+                    other = best[j]
+                    if entry > other:
+                        break
+                    tied = entry == other
+                key.append(entry)
+                s = t
+            else:
+                if not tied:
+                    best = tuple(key)
     return best
 
 
@@ -151,7 +142,8 @@ def canonical_cycle(cycle: FixedCycle) -> FixedCycle:
     Entries are compared by (|f|, f, m, n); the result is the
     lexicographically minimal presentation, so equal outputs characterize
     equal cycles-up-to-presentation.  Idempotent, and repeat calls on the
-    same instance return the same object.
+    same instance return the same object.  Raises
+    :class:`IllegalDeterminant` when a stored determinant is 0.
     """
     # The _canonical stash is kept beside _ckey: a canonical input (every
     # pool and census cycle is one) comes back as the same instance, so the

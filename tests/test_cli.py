@@ -84,6 +84,21 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "/nonexistent/x.json")
         assert code == 1
 
+    def test_document_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"a":1}')
+        good = write(tmp_path, "good.json", suspension_of_lens((1, 0), (2, 5)))
+        for argv in (("validate", bad), ("localmodels", bad),
+                     ("compare", bad, good), ("compare", good, bad),
+                     ("compare", bad, good, "--mode", "weak"),
+                     ("compare", good, bad, "--mode", "weak"),
+                     ("decompose", bad, "--out", tmp_path / "out")):
+            code, out, err = run(capsys, *map(str, argv))
+            assert (code, out) == (1, ""), argv
+            assert err == (f"parse error in {bad}: 'utf-8' codec can't decode byte 0xff "
+                           f"in position 0: invalid start byte\n"), argv
+        assert not (tmp_path / "out").exists()
+
     def test_unparsable_json_is_one_diagnostic_line(self, tmp_path):
         # Past the JSON decoder's limits (the int/str conversion limit, the
         # recursion limit) a document is a parse error, not a traceback.
@@ -244,6 +259,19 @@ class TestDecompose:
         assert glue["manifold_circle"] == 0
         pair = IsotropyPair(*glue["isotropy"])
         assert pair.same_subgroup(piece.fixed_cycles[0].pairs[glue["piece_arc"]])
+
+    def test_out_that_cannot_be_written_is_one_diagnostic_line(self, tmp_path, capsys):
+        path = write(tmp_path, "a.json", suspension_of_lens((1, 0), (2, 5)))
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        blocked = tmp_path / "blocked"
+        (blocked / "manifold.json").mkdir(parents=True)
+        for out in (taken, blocked):
+            code, stdout, err = run(capsys, "decompose", path, "--out", str(out))
+            assert (code, stdout) == (1, "")
+            assert err.startswith(f"error: cannot write {out}: ")
+            assert len(err.splitlines()) == 1
+        assert taken.read_text(encoding="utf-8") == "kept\n"
 
     def test_round_trips_through_files(self, tmp_path, capsys):
         from t2orbits import CircleSelection, Decomposition, reassemble
@@ -497,6 +525,13 @@ document_texts = st.one_of(
     st.one_of(legal_docs, drawn_docs, broken(st.one_of(legal_docs, drawn_docs))).map(json.dumps),
     st.text(max_size=30),
 )
+# Document files as raw bytes: the UTF-8 of a document text, or that text
+# behind one to three arbitrary bytes, which are mostly not UTF-8.
+document_files = st.one_of(
+    document_texts.map(str.encode),
+    st.builds(lambda head, text: head + text.encode(), st.binary(min_size=1, max_size=3),
+              document_texts),
+)
 
 
 # Constructor parameters as the command line takes them: coprime pairs
@@ -553,32 +588,33 @@ class TestExitCodeContract:
             return main(argv)  # an escaping exception fails the test
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(document_texts, document_texts)
+    @given(document_files, document_files)
     def test_every_document_gets_a_contract_exit_code(self, first, second):
         with tempfile.TemporaryDirectory() as tmp:
             pa = Path(tmp) / "a.json"
             pb = Path(tmp) / "b.json"
-            pa.write_text(first, encoding="utf-8")
-            pb.write_text(second, encoding="utf-8")
+            pa.write_bytes(first)
+            pb.write_bytes(second)
             for argv in (["validate", str(pa)], ["compare", str(pa), str(pb)],
                          ["compare", str(pa), str(pb), "--mode", "weak"],
                          ["compare", str(pa), str(pa), "--mode", "weak"]):
                 assert self.call(argv) in (0, 1, 2, 3), argv
-        for text in (first, second):
+        for data in (first, second):
             try:
-                system = parse(text)
-            except DocumentError:
+                system = parse(data.decode("utf-8"))
+            except (UnicodeDecodeError, DocumentError):
                 continue
             assert parse(serialize(system)) == system
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(document_texts, param_pairs, param_pairs, param_weights)
-    def test_every_other_command_gets_a_contract_exit_code(self, text, first, second, weights):
+    @given(document_files, param_pairs, param_pairs, param_weights)
+    def test_every_other_command_gets_a_contract_exit_code(self, data, first, second, weights):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "a.json"
-            path.write_text(text, encoding="utf-8")
+            path.write_bytes(data)
             for argv in (["localmodels", str(path)],
                          ["decompose", str(path), "--out", str(Path(tmp) / "out")],
+                         ["decompose", str(path), "--out", str(path)],
                          ["generate", "suspension", first, second],
                          ["generate", "weighted-projective", *weights]):
                 assert self.call(argv) in (0, 1, 2, 3), argv

@@ -11,6 +11,7 @@ from t2orbits import (
     EquivalenceMode,
     ExceptionalOrbit,
     FixedCycle,
+    IllegalDeterminant,
     IllegalWeightSystem,
     IsotropyPair,
     NotUnimodular,
@@ -29,6 +30,7 @@ from t2orbits import (
     weighted_projective,
 )
 from t2orbits import equivalence
+from t2orbits.core import RULE_DET_ZERO
 from t2orbits.equivalence import (
     _basis_candidates,
     _canonical_flat,
@@ -90,11 +92,13 @@ def exhaustive_canonical_flat(flat: tuple) -> tuple:
     return best
 
 
-def random_flat(rng: random.Random, r: int) -> tuple:
+def random_flat(rng: random.Random, r: int, nonzero: bool = False) -> tuple:
     """A flat cycle with entries in [-5, 5], legal or not.
 
     Small bounds make f = 0 and (0, 0) pairs common; half the cycles store
-    random determinants instead of the ones their pairs give.
+    random determinants instead of the ones their pairs give.  With
+    ``nonzero`` every f = 0 is replaced by a random nonzero value, so (0, 0)
+    pairs and mismatched determinants stay but no f is 0.
     """
     bound = rng.choice((1, 2, 5))
     pairs = [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(r)]
@@ -103,7 +107,54 @@ def random_flat(rng: random.Random, r: int) -> tuple:
     else:
         dets = [IsotropyPair(*pairs[w]).det(IsotropyPair(*pairs[(w + 1) % r]))
                 for w in range(r)]
+    if nonzero:
+        dets = [f or rng.choice((1, -1)) * rng.randint(1, bound) for f in dets]
     return tuple(x for (m, n), f in zip(pairs, dets) for x in (m, n, f))
+
+
+def reference_canonical_flat(flat: tuple) -> tuple:
+    """The four-state search that predates the forced-sign pass.
+
+    It accepts f = 0 too: the state (s_0, s_k) after k entries determines
+    the possible futures, so after each entry it keeps only the least key
+    prefix, with every state (at most four) that reaches it, ties included.
+    Only rotations starting at the least |f| are tried, and a rotation is
+    abandoned once its prefix exceeds the best key found so far.
+    """
+    r = len(flat) // 3
+    ms = flat[0::3]
+    ns = flat[1::3]
+    fs = flat[2::3]
+    absf = [abs(f) for f in fs]
+    least = min(absf, default=None)
+    best = None
+    for rot in range(r):
+        if absf[rot] != least:
+            continue
+        states = ((1, 1), (-1, -1))  # (s_0, s_k) before entry k
+        key = []
+        tied = best is not None  # the prefix so far equals best's
+        for j in range(r):
+            k = (rot + j) % r
+            low = None
+            for s0, s in states:
+                for t in (1, -1) if j < r - 1 else (s0,):
+                    entry = (absf[k], s * t * fs[k], s * ms[k], s * ns[k])
+                    if low is None or entry < low:
+                        low = entry
+                        survivors = [(s0, t)]
+                    elif entry == low and (s0, t) not in survivors:
+                        survivors.append((s0, t))
+            if tied:
+                if low > best[j]:
+                    break
+                tied = low == best[j]
+            key.append(low)
+            states = survivors
+        else:
+            if not tied:
+                best = tuple(key)
+    return best
 
 
 def rotate_flat(flat: tuple, k: int) -> tuple:
@@ -222,34 +273,66 @@ class TestCanonicalCycle:
 
 class TestCanonicalFlat:
     def test_matches_exhaustive_on_any_stored_values(self):
-        # f = 0, (0, 0) pairs and stored determinants that disagree with the
-        # pairs make several sign choices tie; all of them must be followed.
+        # (0, 0) pairs and stored determinants that disagree with the pairs
+        # are accepted and make several sign choices tie; a stored f = 0 is
+        # rejected.
         rng = random.Random(0x5EED)
         for r in range(1, 9):
             for _ in range(150):
                 flat = random_flat(rng, r)
-                assert _canonical_flat(flat) == exhaustive_canonical_flat(flat), flat
+                if 0 in flat[2::3]:
+                    with pytest.raises(IllegalDeterminant):
+                        _canonical_flat(flat)
+                else:
+                    assert _canonical_flat(flat) == exhaustive_canonical_flat(flat), flat
+        for r in range(1, 9):
+            for _ in range(150):
+                flat = random_flat(rng, r, nonzero=True)
+                key = _canonical_flat(flat)
+                assert key == exhaustive_canonical_flat(flat), flat
+                assert key == reference_canonical_flat(flat), flat
 
     def test_ties_between_states(self):
-        # Zero pairs and determinants tie every sign choice; the key is
+        # A (0, 0) pair at the start of a rotation ties both first signs,
+        # and a cycle whose |f| are all equal ties every rotation; the key is
         # decided only by the entries after them.
+        for flat in ((0, 0, 2, 1, 2, -3, 0, 0, 2, 2, 1, 3),
+                     (0, 0, 1, 1, 0, -1, 0, 1, 1),
+                     (0, 0, 3, 2, 1, 5, 0, 0, -3, 1, 2, 4),
+                     (0, 0, 1) * 5,
+                     (1, 0, 1, 0, 1, -1) * 4,
+                     (1, 0, 2, 0, 1, 2, -1, 0, -2) * 2,
+                     ()):
+            key = _canonical_flat(flat)
+            assert key == exhaustive_canonical_flat(flat) == reference_canonical_flat(flat)
+        # A zero determinant, with or without zero pairs around it, raises.
         for flat in ((0, 0, 0, 1, 2, 0, 0, 0, 0, 2, 1, 0),
                      (1, 0, 0, 0, 1, 0, 1, 1, 0),
                      (0, 0, 3, 2, 1, 0, 0, 0, -3, 1, 2, 0),
-                     (0, 0, 0),
-                     ()):
-            assert _canonical_flat(flat) == exhaustive_canonical_flat(flat)
+                     (0, 0, 0)):
+            with pytest.raises(IllegalDeterminant):
+                _canonical_flat(flat)
 
     def test_rotation_and_flip_invariance_of_long_flat_cycles(self):
         rng = random.Random(0xF1A7)
         for r in (64, 256):
             for _ in range(3):
-                flat = random_flat(rng, r)
+                flat = random_flat(rng, r, nonzero=True)
                 key = _canonical_flat(flat)
+                assert key == reference_canonical_flat(flat)
                 moved = rotate_flat(flat, rng.randrange(r))
                 for w in rng.sample(range(r), r // 3):
                     moved = flip_flat(moved, w)
                 assert _canonical_flat(moved) == key
+
+    def test_canonical_cycle_rejects_a_zero_determinant(self):
+        # Legality is validate's question: it reports the zero, while the
+        # canonicalizer refuses it.
+        cycle = FixedCycle(((1, 0), (2, 0)), (0, 0))
+        with pytest.raises(IllegalDeterminant):
+            canonical_cycle(cycle)
+        rules = {v.rule for v in validate(WeightSystem(fixed_cycles=(cycle,))).violations}
+        assert RULE_DET_ZERO in rules
 
 
 class TestStrictCanonicalForm:
