@@ -168,11 +168,7 @@ def _cycle_pool(max_length: int, max_entry: int) -> tuple:
         for start in range(k):
             extend([start], length)
 
-    # Necklaces of subgroup sequences are in bijection with cycle classes,
-    # so no duplicates can occur; keep the check cheap and loud.
-    pool = sorted(cycles, key=FixedCycle.flat)
-    assert all(a.flat() != b.flat() for a, b in zip(pool, pool[1:]))
-    return tuple(pool)
+    return tuple(sorted(cycles, key=FixedCycle.flat))
 
 
 def _is_min_rotation(seq: list) -> bool:

@@ -141,20 +141,19 @@ def canonical_cycle(cycle: FixedCycle) -> FixedCycle:
 
     Entries are compared by (|f|, f, m, n); the result is the
     lexicographically minimal presentation, so equal outputs characterize
-    equal cycles-up-to-presentation.  Idempotent, and repeat calls on the
-    same instance return the same object.  Raises
-    :class:`IllegalDeterminant` when a stored determinant is 0.
+    equal cycles-up-to-presentation.  Idempotent: an output of this function
+    (every pool and census cycle is one) comes back as the same object; any
+    other cycle gives a new object on each call, equal from call to call.
+    Raises :class:`IllegalDeterminant` when a stored determinant is 0.
     """
-    # The _canonical stash is kept beside _ckey: a canonical input (every
-    # pool and census cycle is one) comes back as the same instance, so the
-    # piece that decompose builds keeps its _violations, _ckey and _compact.
+    # Each output points to itself, so the piece that decompose builds from
+    # a census cycle keeps that cycle's _violations, _ckey and _compact.
     canonical = cycle.__dict__.get("_canonical")
     if canonical is None:
         key = _cycle_key(cycle)
         canonical = _cycle_from_key(key)
         canonical.__dict__["_ckey"] = key
         canonical.__dict__["_canonical"] = canonical
-        cycle.__dict__["_canonical"] = canonical
     return canonical
 
 
@@ -352,6 +351,8 @@ def _weak_argmin(system: WeightSystem) -> tuple:
     minimized over the moved pairs of such entries.  Ties are never
     dropped, so the first least candidate still wins.
     """
+    # The move laws are inlined, not shared with apply_basis_change: staged
+    # helpers made this 23% slower; the witness check keeps both in step.
     # Reversal keeps every subgroup and at most negates the one anchor of a
     # pair-free closed system, whose two signs are both tried: both
     # orientations share one candidate set.
@@ -489,6 +490,7 @@ def weak_witness(first: WeightSystem, second: WeightSystem) -> Witness | None:
     if witness.orientation_reversed:
         moved = reverse_orientation(moved)
     moved = apply_basis_change(moved, witness.matrix)
+    # Checked at run time: _basis_candidates is a convention; _weak_argmin repeats the move laws.
     if _strict_components(moved) != _strict_components(second):
         raise ArithmeticError("weak witness verification failed")
     return witness

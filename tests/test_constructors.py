@@ -14,6 +14,7 @@ from t2orbits import (
     IsotropyPair,
     NotCoprime,
     WeightSystem,
+    canonical_cycle,
     canonical_form,
     decompose,
     enumerate_legal,
@@ -23,6 +24,8 @@ from t2orbits import (
     validate,
     weighted_projective,
 )
+from t2orbits.constructors import _cycle_pool
+from t2orbits.equivalence import _canonical_flat
 from tests.conftest import random_coprime_pair
 
 
@@ -223,3 +226,34 @@ class TestEnumerateLegal:
             for cycle in w.fixed_cycles:
                 assert all(abs(p.m) <= 3 and abs(p.n) <= 3 for p in cycle.pairs)
                 assert all(0 < abs(f) <= 3 for f in cycle.dets)
+
+
+# (max cycle length, max weight entry) -> pool size; (4, 3) are the census bounds.
+POOL_SIZES = {(3, 2): 50, (4, 3): 1730, (5, 2): 760}
+
+
+class TestCyclePool:
+    """What the pool promises by construction: necklaces of subgroup
+    sequences are in bijection with cycle classes, and every member is an
+    output of ``canonical_cycle``."""
+
+    @pytest.mark.parametrize("length, entry", sorted(POOL_SIZES))
+    def test_one_canonical_cycle_per_class(self, length, entry):
+        pool = _cycle_pool(length, entry)
+        assert len(pool) == POOL_SIZES[length, entry]
+        flats = [c.flat() for c in pool]
+        assert all(a < b for a, b in zip(flats, flats[1:]))
+        assert len({_canonical_flat(flat) for flat in flats}) == len(pool)
+        assert all(canonical_cycle(c) is c for c in pool)
+
+    @pytest.mark.parametrize("length, entry", sorted(POOL_SIZES))
+    def test_decompose_keeps_the_census_cycle_instance(self, length, entry):
+        census = EnumerationBounds(max_cycles=1, max_cycle_length=length,
+                                   max_weight_entry=entry)
+        singular = 0
+        for w in enumerate_legal(census):
+            pieces = decompose(w).simple_pieces
+            if pieces:
+                singular += 1
+                assert pieces[0].fixed_cycles[0] is w.fixed_cycles[0]
+        assert singular > 0

@@ -517,6 +517,24 @@ class TestWeakMode:
             witness = weak_witness(w, moved)
             assert witness is not None  # weak_witness verifies internally
 
+    def test_a_wrong_argmin_matrix_fails_the_witness_check(self, monkeypatch):
+        # The argmin window is a convention, not a theorem, so weak_witness
+        # verifies the witness it builds; a wrong matrix must not get through.
+        first = suspension_of_lens((1, 0), (2, 5))
+        second = apply_basis_change(first, ((2, 1), (1, 1)))
+        argmin = equivalence._weak_argmin
+
+        def wrong_for_second(system):
+            components, matrix, flipped = argmin(system)
+            if system is second:
+                matrix = equivalence._mat_mul(((1, 1), (0, 1)), matrix)
+            return components, matrix, flipped
+
+        assert weak_witness(first, second) is not None
+        monkeypatch.setattr(equivalence, "_weak_argmin", wrong_for_second)
+        with pytest.raises(ArithmeticError, match="weak witness verification failed"):
+            weak_witness(first, second)
+
     def test_illegal_operand_raises(self):
         bad = WeightSystem(genus=-1)
         good = suspension_of_lens((1, 0), (2, 5))
